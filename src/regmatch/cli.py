@@ -72,6 +72,17 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
+def _positive(parse):
+    """argparse type: parse the text, then require a value above zero."""
+    def positive(text: str):
+        value = parse(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+        return value
+    positive.__name__ = parse.__name__  # argparse names it in its messages
+    return positive
+
+
 def _decimal(q: Fraction, digits: int = 12) -> str:
     return mpmath.nstr(mpmath.mpf(q.numerator) / q.denominator, digits)
 
@@ -514,9 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=12)
     p.add_argument("--lambda", dest="lam", type=_rational, action="append",
                    help="evaluation point p/q or decimal (repeatable)")
-    p.add_argument("--grid-step", type=_rational, default=Fraction(1, 400))
+    p.add_argument("--grid-step", type=_positive(_rational), default=Fraction(1, 400))
     p.add_argument("--grid-max", type=_rational, default=Fraction(143, 400))
-    p.add_argument("--precision-bits", type=int, default=DEFAULT_BITS)
+    p.add_argument("--precision-bits", type=_positive(int), default=DEFAULT_BITS)
     p.add_argument("--include-necklaces", type=int, default=0, metavar="KMAX",
                    help="also sweep diamond necklaces DN_2..DN_KMAX (d=3)")
     common(p)

@@ -20,7 +20,9 @@ from .errors import CapacityError, Graph6ParseError, NoGraphsError, RegmatchErro
 class Graph:
     """Immutable simple graph."""
 
-    __slots__ = ("n", "edges", "adj", "_canon")
+    # _canon and _counts are filled on first use by canonical_key and by
+    # matchpoly (the matching coefficients), so repeated queries are free
+    __slots__ = ("n", "edges", "adj", "_canon", "_counts")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         adj = [0] * n
@@ -41,6 +43,7 @@ class Graph:
         object.__setattr__(self, "edges", tuple(sorted(norm)))
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "_canon", None)
+        object.__setattr__(self, "_counts", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -274,13 +277,17 @@ def canonical_key(g: Graph) -> str:
     """graph6 string of the canonically relabeled graph (isomorphism invariant)."""
     cached = g._canon
     if cached is None:
-        cached = encode_graph6(g.relabel(canonical_order(g)))
+        cached = canonical_form(g)._canon
         object.__setattr__(g, "_canon", cached)
     return cached
 
 
 def canonical_form(g: Graph) -> Graph:
-    return g.relabel(canonical_order(g))
+    """Canonically relabeled copy of g, with its canonical key already set
+    (the canonical key of a canonical form is its own graph6 string)."""
+    h = g.relabel(canonical_order(g))
+    object.__setattr__(h, "_canon", encode_graph6(h))
+    return h
 
 
 def automorphism_count(g: Graph) -> int:
@@ -623,9 +630,8 @@ def generate_connected_regular(n: int, d: int) -> list[Graph]:
     def complete_vertex(v: int, intro: int) -> None:
         if v == n:
             g = Graph(n, [(i, j) for i in range(n) for j in _bits(adj[i]) if j > i])
-            key = canonical_key(g)
-            if key not in found:
-                found[key] = canonical_form(g)
+            h = canonical_form(g)
+            found.setdefault(h._canon, h)
             return
         if deg[v] == 0 and v > 0:
             return  # vertices 0..v-1 are saturated: closed component

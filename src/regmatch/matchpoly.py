@@ -19,7 +19,7 @@ from functools import lru_cache
 from .certified import DEFAULT_BITS, Enclosure, log_enclosure
 from .errors import DomainError
 from .graphs import Graph, _bits, _canonical_order_masks, _BudgetExceeded
-from .polynomials import Poly
+from .polynomials import Poly, _horner
 
 # canonical search is abandoned beyond this many nodes; the raw labeled
 # adjacency is used as a (weaker but sound) memo key instead
@@ -125,19 +125,29 @@ def _component_coeffs(masks: tuple[int, ...]) -> list[int]:
     return coeffs
 
 
+def _counts(g: Graph) -> tuple[int, ...]:
+    """Matching coefficients of g, computed on first use and kept on g, so
+    later evaluations of the same Graph skip the canonical search and memo."""
+    counts = g._counts
+    if counts is None:
+        counts = tuple(_gen_coeffs(g.adj))
+        object.__setattr__(g, "_counts", counts)
+    return counts
+
+
 def matching_gen_poly(g: Graph) -> Poly:
     """Matching generating polynomial: coefficient k is the number of
     k-edge matchings; degree is the maximum matching size."""
-    return Poly(_gen_coeffs(g.adj))
+    return Poly(_counts(g))
 
 
 def matching_counts(g: Graph) -> tuple[int, ...]:
-    return tuple(_gen_coeffs(g.adj))
+    return _counts(g)
 
 
 def matching_poly_mu(g: Graph) -> Poly:
     """Signed matching polynomial mu(G, x) = sum_k (-1)^k m_k x^(n-2k)."""
-    m = _gen_coeffs(g.adj)
+    m = _counts(g)
     n = g.n
     coeffs = [0] * (n + 1)
     for k, mk in enumerate(m):
@@ -164,11 +174,7 @@ def q_complete_minus_edge(n: int) -> Poly:
 
 def gen_poly_value(g: Graph, lam) -> Fraction:
     """Exact M(G, lam) at a rational point."""
-    lam = Fraction(lam)
-    value = Fraction(0)
-    for c in reversed(_gen_coeffs(g.adj)):
-        value = value * lam + c
-    return value
+    return _horner(_counts(g), Fraction(lam))
 
 
 def log_per_vertex(g: Graph, lam, bits: int = DEFAULT_BITS) -> Enclosure:

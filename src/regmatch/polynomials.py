@@ -18,6 +18,15 @@ def _trim(coeffs: Sequence) -> tuple:
     return tuple(coeffs[:i])
 
 
+def _horner(coeffs: Sequence, x):
+    """sum_k coeffs[k] x^k (lowest degree first) by Horner's rule.  A nonempty
+    sequence at a Fraction x gives a Fraction, even when it is constant."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class Poly:
     """Immutable dense polynomial over the rationals (ints allowed)."""
 
@@ -126,10 +135,7 @@ class Poly:
         return Poly((0,) * k + self.coeffs)
 
     def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
     def derivative(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, lru_cache, partial
 from math import comb
+from typing import Callable
 
 from .certified import (DEFAULT_BITS, MAX_BITS, Enclosure, Verdict,
                         log_enclosure)
@@ -175,17 +177,39 @@ class InequalityReport:
     bits: int
 
 
-def _log_margin(a: Fraction, n: int, b: Fraction, m: int, bits: int) -> Enclosure:
-    return log_enclosure(a, bits) / n - log_enclosure(b, bits) / m
+def _check_bits(bits: int) -> None:
+    if bits < 1:
+        raise DomainError(f"precision must be at least 1 bit, got {bits}")
+
+
+def _per_vertex_log(value: Fraction, n: int) -> Callable[[int], Enclosure]:
+    """bits -> enclosure of (1/n) ln value."""
+    return lambda bits: log_enclosure(value, bits) / n
+
+
+@lru_cache(maxsize=1024)  # bounded: a long sweep over many lam keeps a fixed size
+def _complete_log(d: int, lam: Fraction, bits: int) -> Enclosure:
+    """(1/(d+1)) ln M_{K_{d+1}}(lam), shared by every graph compared at lam."""
+    return log_enclosure(q_complete(d + 1)(lam), bits) / (d + 1)
 
 
 def compare_log_per_vertex(a: Fraction, n: int, b: Fraction, m: int,
-                           bits: int = DEFAULT_BITS) -> InequalityReport:
+                           bits: int = DEFAULT_BITS, *,
+                           log_a: Callable[[int], Enclosure] | None = None,
+                           log_b: Callable[[int], Enclosure] | None = None
+                           ) -> InequalityReport:
     """Certified verdict for (1/n) ln a >= (1/m) ln b, decided exactly as
     a^m >= b^n; the reported margin enclosure is tightened until its sign
-    agrees with the exact verdict."""
+    agrees with the exact verdict.
+
+    log_a(bits) and log_b(bits), when given, must enclose (1/n) ln a and
+    (1/m) ln b at that precision; callers pass them to reuse one side's
+    enclosures across many comparisons."""
+    _check_bits(bits)
     if a <= 0 or b <= 0:
         raise DomainError("log comparison needs positive values")
+    log_a = log_a or _per_vertex_log(a, n)
+    log_b = log_b or _per_vertex_log(b, m)
     lhs, rhs = a ** m, b ** n
     equality = lhs == rhs
     verdict = Verdict.HOLDS if lhs >= rhs else Verdict.FAILS
@@ -193,7 +217,7 @@ def compare_log_per_vertex(a: Fraction, n: int, b: Fraction, m: int,
         return InequalityReport(verdict, Enclosure.exact(0), True, a, b, bits)
     cur = bits
     while True:
-        margin = _log_margin(a, n, b, m, cur)
+        margin = log_a(cur) - log_b(cur)
         if (margin.lo > 0) if lhs > rhs else (margin.hi < 0):
             return InequalityReport(verdict, margin, False, a, b, cur)
         if cur >= MAX_BITS:
@@ -209,19 +233,13 @@ def verify_inequality(g: Graph, d: int, lam,
         raise DomainError("graph is not d-regular")
     lam = Fraction(lam)
     a = gen_poly_value(g, lam)
-    b = _complete_value(d, lam)
+    b = q_complete(d + 1)(lam)
     if a <= 0:
         raise DomainError(f"M_G({lam}) = {a} is not positive")
     if b <= 0:
         raise DomainError(f"M_K_{d+1}({lam}) = {b} is not positive")
-    return compare_log_per_vertex(a, g.n, b, d + 1, bits)
-
-
-def _complete_value(d: int, lam: Fraction) -> Fraction:
-    value = Fraction(0)
-    for c in reversed(q_complete(d + 1).coeffs):
-        value = value * lam + c
-    return value
+    return compare_log_per_vertex(a, g.n, b, d + 1, bits,
+                                  log_b=partial(_complete_log, d, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +298,7 @@ class SandwichReport:
 
 def negative_lambda_sandwich(g: Graph, d: int, lam,
                              bits: int = DEFAULT_BITS) -> SandwichReport:
+    _check_bits(bits)
     if g.regular_degree() != d:
         raise DomainError("graph is not d-regular")
     lam = Fraction(lam)
@@ -288,21 +307,24 @@ def negative_lambda_sandwich(g: Graph, d: int, lam,
     value_g = gen_poly_value(g, lam)
     if value_g <= 0:
         raise DomainError(f"M_G({lam}) = {value_g} is not positive")
-    value_k = _complete_value(d, lam)
+    value_k = q_complete(d + 1)(lam)
     if value_k <= 0:
         raise DomainError(f"M_K_{d+1}({lam}) = {value_k} is not positive")
     if lam == 0:
         zero = Enclosure.exact(0)
         return SandwichReport(lam, Verdict.HOLDS, Verdict.HOLDS, zero, zero,
                               True, bits)
+    # both sides need G's per-vertex log, at the same precisions
+    graph_log = cache(_per_vertex_log(value_g, g.n))
     # upper side is exact: (1/n) ln M_G <= (1/(d+1)) ln M_K
-    upper = compare_log_per_vertex(value_k, d + 1, value_g, g.n, bits)
+    upper = compare_log_per_vertex(value_k, d + 1, value_g, g.n, bits,
+                                   log_a=partial(_complete_log, d, lam),
+                                   log_b=graph_log)
     # lower side needs the (irrational) tree value; escalate then give up
     cur = bits
     while True:
         tree = tree_closed_form(d, lam, cur)
-        graph_log = log_enclosure(value_g, cur) / g.n
-        lower_margin = graph_log - tree
+        lower_margin = graph_log(cur) - tree
         if lower_margin.lo >= 0:
             lower = Verdict.HOLDS
             break

@@ -159,6 +159,23 @@ def test_bad_rational_rejected(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--grid-step", "0"],
+    ["--grid-step=-1/400"],
+    ["--precision-bits", "0"],
+    ["--precision-bits", "-5"],
+    ["--precision-bits", "abc"],
+])
+def test_verify_rejects_nonpositive_step_and_precision(capsys, argv):
+    # these once divided by zero, never finished escalating, or overflowed
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--d", "3", "--nmax", "6", "--lambda", "1/100", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: argument --" in err
+
+
 # ---------------------------------------------------------------------------
 # ladder / remez / cd
 

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_matching_counts, complete_matching_count
 from regmatch import matchpoly
@@ -29,6 +31,7 @@ from regmatch.matchpoly import (
     q_complete_minus_edge,
 )
 from regmatch.polynomials import Poly
+from regmatch.series_bounds import negative_lambda_sandwich, verify_inequality
 
 
 def test_matching_counts_known():
@@ -147,3 +150,53 @@ def test_bipartite_matchings_are_permanent_counts():
     got = matching_counts(complete_bipartite(3, 4))
     for k, coeff in enumerate(got):
         assert coeff == comb(3, k) * comb(4, k) * factorial(k)
+
+
+def test_gen_poly_value_is_exact_fraction():
+    # constant polynomials too: the edgeless graph and q_1
+    assert type(gen_poly_value(Graph(3, []), 2)) is Fraction
+    assert type(gen_poly_value(complete(4), 1)) is Fraction
+    assert type(q_complete(1)(Fraction(1, 2))) is Fraction
+
+
+@st.composite
+def graphs_with_relabeling(draw, nmax=8):
+    n = draw(st.integers(0, nmax))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k]), perm
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_relabeling())
+def test_matching_counts_match_brute_force_and_relabeling(case):
+    g, perm = case
+    counts = matching_counts(g)
+    assert counts == brute_matching_counts(g)
+    assert matching_counts(g.relabel(perm)) == counts
+
+
+def test_repeat_evaluation_skips_canonical_search(monkeypatch):
+    """A Graph keeps its matching counts: only its first evaluation runs the
+    deletion recursion and with it the canonical search."""
+    calls = []
+    search = matchpoly._canonical_order_masks
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(matchpoly, "_canonical_order_masks", counting)
+    matchpoly.clear_cache()
+    g = petersen()
+    assert gen_poly_value(g, Fraction(1, 4)) == matching_gen_poly(petersen())(Fraction(1, 4))
+    assert calls
+    calls.clear()
+    for lam in (Fraction(1, 7), Fraction(3, 2), 0, 1):
+        gen_poly_value(g, lam)
+        log_per_vertex(g, lam or 1)
+        verify_inequality(g, 3, lam)
+    negative_lambda_sandwich(g, 3, Fraction(-1, 8))
+    matching_counts(g), matching_gen_poly(g), matching_poly_mu(g)
+    assert calls == []

@@ -226,6 +226,29 @@ def test_verify_inequality_domain():
         verify_inequality(complete(4), 3, -1)  # M_G(-1) = -2
 
 
+def test_precision_below_one_bit_rejected():
+    # bits = 0 would never escalate, negative bits overflow in mpmath
+    for bits in (0, -5):
+        with pytest.raises(DomainError):
+            compare_log_per_vertex(Fraction(9), 2, Fraction(2), 1, bits=bits)
+        with pytest.raises(DomainError):
+            verify_inequality(petersen(), 3, Fraction(1, 100), bits=bits)
+        with pytest.raises(DomainError):
+            negative_lambda_sandwich(petersen(), 3, Fraction(-1, 8), bits=bits)
+
+
+def test_verify_inequality_same_as_generic_comparison():
+    # verify_inequality reuses the K_4 side across graphs; its report must
+    # equal a from-scratch comparison of the same two values
+    k4 = matching_gen_poly(complete(4))
+    for g in (petersen(), prism(), complete_bipartite(3, 3)):
+        for lam in (Fraction(1, 400), Fraction(1, 4), Fraction(1)):
+            for bits in (16, 128):
+                rep = verify_inequality(g, 3, lam, bits=bits)
+                assert rep == compare_log_per_vertex(
+                    gen_poly_value(g, lam), g.n, k4(lam), 4, bits=bits)
+
+
 # ---------------------------------------------------------------------------
 # Tree closed form and the negative-lambda sandwich
 
