@@ -14,7 +14,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     Graph6ParseError,
-    InconclusiveError,
     NoGraphsError,
     RegmatchError,
 )
@@ -39,6 +38,7 @@ from .graphs import (
     prism,
 )
 from .matchpoly import (
+    certify_root_bound,
     gen_poly_value,
     log_per_vertex,
     matching_counts,
@@ -85,7 +85,6 @@ __all__ = [
     "Enclosure",
     "Graph",
     "Graph6ParseError",
-    "InconclusiveError",
     "NoGraphsError",
     "Poly",
     "RegmatchError",
@@ -94,6 +93,7 @@ __all__ = [
     "canonical_form",
     "canonical_key",
     "certificate_chain",
+    "certify_root_bound",
     "complete",
     "complete_graph_densities",
     "complete_minus_edge",

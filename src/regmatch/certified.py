@@ -10,6 +10,8 @@ reported INCONCLUSIVE, never guessed.
 from __future__ import annotations
 
 import enum
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, TypeVar
@@ -117,6 +119,24 @@ def _iv_to_enclosure(x) -> Enclosure:
     return Enclosure(_mpf_to_fraction(lo_raw), _mpf_to_fraction(hi_raw))
 
 
+def _check_bits(bits: int) -> None:
+    if not 1 <= bits <= MAX_BITS:
+        raise DomainError(f"precision must be 1..{MAX_BITS} bits, got {bits}")
+
+
+@contextmanager
+def _iv_precision(bits: int):
+    """mpmath's iv context at bits + _GUARD_BITS, restored on exit; the only
+    place that sets the interval precision."""
+    iv = mpmath.iv
+    old = iv.prec
+    iv.prec = bits + _GUARD_BITS
+    try:
+        yield iv
+    finally:
+        iv.prec = old
+
+
 def log_enclosure(q: Fraction, bits: int = DEFAULT_BITS) -> Enclosure:
     """Rigorous enclosure of ln(q) for a positive rational q."""
     q = Fraction(q)
@@ -124,26 +144,9 @@ def log_enclosure(q: Fraction, bits: int = DEFAULT_BITS) -> Enclosure:
         raise DomainError(f"log of non-positive value {q}")
     if q == 1:
         return Enclosure.exact(0)
-    iv = mpmath.iv
-    old = iv.prec
-    iv.prec = bits + _GUARD_BITS
-    try:
+    with _iv_precision(bits) as iv:
         x = iv.mpf(q.numerator) / iv.mpf(q.denominator)
         return _iv_to_enclosure(iv.log(x))
-    finally:
-        iv.prec = old
-
-
-def exp_enclosure(q: Fraction, bits: int = DEFAULT_BITS) -> Enclosure:
-    iv = mpmath.iv
-    old = iv.prec
-    iv.prec = bits + _GUARD_BITS
-    try:
-        q = Fraction(q)
-        x = iv.mpf(q.numerator) / iv.mpf(q.denominator)
-        return _iv_to_enclosure(iv.exp(x))
-    finally:
-        iv.prec = old
 
 
 def sqrt_enclosure(q: Fraction, bits: int = DEFAULT_BITS) -> Enclosure:
@@ -153,18 +156,12 @@ def sqrt_enclosure(q: Fraction, bits: int = DEFAULT_BITS) -> Enclosure:
     r, exact = _isqrt_frac(q)
     if exact:
         return Enclosure.exact(r)
-    iv = mpmath.iv
-    old = iv.prec
-    iv.prec = bits + _GUARD_BITS
-    try:
+    with _iv_precision(bits) as iv:
         x = iv.mpf(q.numerator) / iv.mpf(q.denominator)
         return _iv_to_enclosure(iv.sqrt(x))
-    finally:
-        iv.prec = old
 
 
 def _isqrt_frac(q: Fraction) -> tuple[Fraction, bool]:
-    import math
     a = math.isqrt(q.numerator)
     b = math.isqrt(q.denominator)
     if a * a == q.numerator and b * b == q.denominator:
@@ -175,25 +172,14 @@ def _isqrt_frac(q: Fraction) -> tuple[Fraction, bool]:
 T = TypeVar("T")
 
 
-def with_escalation(attempt: Callable[[int], T | None],
-                    start_bits: int = DEFAULT_BITS,
-                    max_bits: int = MAX_BITS) -> tuple[T | None, int]:
-    """Run attempt(bits) with doubling precision until it returns a value.
+def _escalate(attempt: Callable[[int], T], settled: Callable[[T], bool],
+              bits: int) -> tuple[T, int]:
+    """Run attempt(bits), doubling bits up to MAX_BITS, until settled(result).
 
-    Returns (result, bits_used); result is None if even max_bits failed.
-    """
-    bits = start_bits
+    Returns (result, bits_used); at MAX_BITS the last result is returned
+    whether or not it settled."""
     while True:
         result = attempt(bits)
-        if result is not None or bits >= max_bits:
+        if settled(result) or bits >= MAX_BITS:
             return result, bits
-        bits = min(2 * bits, max_bits)
-
-
-def compare_enclosures(a: Enclosure, b: Enclosure) -> Verdict | None:
-    """a >= b certainly, certainly not, or unknown (None)."""
-    if a.lo >= b.hi:
-        return Verdict.HOLDS
-    if a.hi < b.lo:
-        return Verdict.FAILS
-    return None
+        bits = min(2 * bits, MAX_BITS)

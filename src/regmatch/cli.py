@@ -24,8 +24,8 @@ from fractions import Fraction
 import mpmath
 
 from . import __version__
-from .certified import DEFAULT_BITS, Enclosure, Verdict
-from .errors import Graph6ParseError, NoGraphsError, RegmatchError
+from .certified import DEFAULT_BITS, Enclosure, Verdict, _check_bits
+from .errors import DomainError, Graph6ParseError, NoGraphsError, RegmatchError
 from .graphs import (
     Graph,
     canonical_key,
@@ -81,6 +81,30 @@ def _positive(parse):
         return value
     positive.__name__ = parse.__name__  # argparse names it in its messages
     return positive
+
+
+def _precision_bits(text: str) -> int:
+    """argparse type: a starting precision, held to the library's range."""
+    try:
+        bits = int(text)
+        _check_bits(bits)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return bits
+
+
+def _real(text: str) -> str:
+    """argparse type: a finite decimal, kept as the text itself (the reports
+    echo it as given)."""
+    try:
+        ok = mpmath.isfinite(mpmath.mpf(text))
+    except (ValueError, ZeroDivisionError):
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"not a finite decimal: {text!r}")
+    return text
 
 
 def _decimal(q: Fraction, digits: int = 12) -> str:
@@ -333,7 +357,7 @@ def _cmd_ladder(args) -> int:
     ladder = DEFAULT_LADDER
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            ladder = tuple(line.split("#", 1)[0].strip() for line in fh
+            ladder = tuple(_real(line.split("#", 1)[0].strip()) for line in fh
                            if line.split("#", 1)[0].strip())
     cmd = _Command("ladder", args, {
         "ladder": list(ladder),
@@ -527,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluation point p/q or decimal (repeatable)")
     p.add_argument("--grid-step", type=_positive(_rational), default=Fraction(1, 400))
     p.add_argument("--grid-max", type=_rational, default=Fraction(143, 400))
-    p.add_argument("--precision-bits", type=_positive(int), default=DEFAULT_BITS)
+    p.add_argument("--precision-bits", type=_precision_bits, default=DEFAULT_BITS)
     p.add_argument("--include-necklaces", type=int, default=0, metavar="KMAX",
                    help="also sweep diamond necklaces DN_2..DN_KMAX (d=3)")
     common(p)
@@ -539,12 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--dps", type=int, default=_DPS)
     p.add_argument("--base-cap", type=_rational, default=BASE_CAP)
-    p.add_argument("--target", default=COVER_TARGET)
+    p.add_argument("--target", type=_real, default=COVER_TARGET)
     common(p)
     p.set_defaults(func=_cmd_ladder)
 
     p = sub.add_parser("remez", help="minimax polynomial for log(1+x) on [0, A]")
-    p.add_argument("--a", required=True, help="right endpoint A (decimal)")
+    p.add_argument("--a", type=_real, required=True, help="right endpoint A (decimal)")
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--dps", type=int, default=_DPS)
     common(p)
@@ -552,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cd", help="critical constants c_d for odd d")
     p.add_argument("--dmax", type=int, default=9)
-    p.add_argument("--width", type=_rational, default=Fraction(1, 10 ** 10))
+    p.add_argument("--width", type=_positive(_rational), default=Fraction(1, 10 ** 10))
     common(p)
     p.set_defaults(func=_cmd_cd)
 
@@ -587,7 +611,7 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RegmatchError as exc:
+    except (RegmatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

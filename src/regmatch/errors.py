@@ -39,7 +39,3 @@ class ConvergenceError(RegmatchError):
     def __init__(self, message: str, detail=None):
         self.detail = detail
         super().__init__(message)
-
-
-class InconclusiveError(RegmatchError):
-    """A certified comparison stayed inconclusive at the maximum precision."""

@@ -74,36 +74,16 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def components(self) -> list[list[int]]:
-        seen = 0
-        out = []
-        for s in range(self.n):
-            if seen >> s & 1:
-                continue
-            comp = 1 << s
-            frontier = 1 << s
-            while frontier:
-                nxt = 0
-                for v in _bits(frontier):
-                    nxt |= self.adj[v]
-                frontier = nxt & ~comp
-                comp |= nxt
-            seen |= comp
-            out.append(_bits(comp))
-        return out
+        return _components(self.adj)
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph relabeled to 0..len(vertices)-1 (in given order)."""
-        index = {v: i for i, v in enumerate(vertices)}
-        edges = []
-        for i, v in enumerate(vertices):
-            for w in _bits(self.adj[v]):
-                j = index.get(w)
-                if j is not None and j > i:
-                    edges.append((i, j))
-        return Graph(len(vertices), edges)
+        masks = _induced_masks(self.adj, vertices)
+        return Graph(len(masks), [(i, j) for i, m in enumerate(masks)
+                                  for j in _bits(m) if j > i])
 
     def relabel(self, order: Sequence[int]) -> "Graph":
         """Graph with new vertex i = old vertex order[i]."""
@@ -128,6 +108,40 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _components(masks: Sequence[int]) -> list[list[int]]:
+    """Vertex lists of the connected components of adjacency masks."""
+    seen = 0
+    comps = []
+    for s in range(len(masks)):
+        if seen >> s & 1:
+            continue
+        comp = 1 << s
+        frontier = 1 << s
+        while frontier:
+            nxt = 0
+            for v in _bits(frontier):
+                nxt |= masks[v]
+            frontier = nxt & ~comp
+            comp |= nxt
+        seen |= comp
+        comps.append(_bits(comp))
+    return comps
+
+
+def _induced_masks(masks: Sequence[int], keep: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency masks of the subgraph induced on keep, vertex keep[i] -> i."""
+    pos = {v: i for i, v in enumerate(keep)}
+    out = []
+    for v in keep:
+        m = 0
+        for w in _bits(masks[v]):
+            j = pos.get(w)
+            if j is not None:
+                m |= 1 << j
+        out.append(m)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

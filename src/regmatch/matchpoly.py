@@ -18,8 +18,10 @@ from functools import lru_cache
 
 from .certified import DEFAULT_BITS, Enclosure, log_enclosure
 from .errors import DomainError
-from .graphs import Graph, _bits, _canonical_order_masks, _BudgetExceeded
-from .polynomials import Poly, _horner
+from .graphs import (Graph, _bits, _canonical_order_masks, _components,
+                     _induced_masks, _BudgetExceeded)
+from .polynomials import (Poly, _horner, _poly_mul,
+                          count_real_roots_with_multiplicity)
 
 # canonical search is abandoned beyond this many nodes; the raw labeled
 # adjacency is used as a (weaker but sound) memo key instead
@@ -30,48 +32,6 @@ _memo: dict[object, tuple[int, ...]] = {}
 
 def clear_cache() -> None:
     _memo.clear()
-
-
-def _induced_masks(masks: tuple[int, ...], keep: list[int]) -> tuple[int, ...]:
-    pos = {v: i for i, v in enumerate(keep)}
-    out = []
-    for v in keep:
-        m = 0
-        for w in _bits(masks[v]):
-            j = pos.get(w)
-            if j is not None:
-                m |= 1 << j
-        out.append(m)
-    return tuple(out)
-
-
-def _components(masks: tuple[int, ...]) -> list[list[int]]:
-    n = len(masks)
-    seen = 0
-    comps = []
-    for s in range(n):
-        if seen >> s & 1:
-            continue
-        comp = 1 << s
-        frontier = 1 << s
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= masks[v]
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-        comps.append(_bits(comp))
-    return comps
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def _gen_coeffs(masks: tuple[int, ...]) -> list[int]:
@@ -90,7 +50,7 @@ def _memo_key(masks: tuple[int, ...]):
         order, _ = _canonical_order_masks(n, masks, budget=_CANON_NODE_BUDGET)
     except _BudgetExceeded:
         return ("labeled", masks)
-    relabeled = _induced_masks(masks, list(order))
+    relabeled = _induced_masks(masks, order)
     return ("canon", n, relabeled)
 
 
@@ -153,6 +113,23 @@ def matching_poly_mu(g: Graph) -> Poly:
     for k, mk in enumerate(m):
         coeffs[n - 2 * k] = (-1) ** k * mk
     return Poly(coeffs)
+
+
+def certify_root_bound(g: Graph, d: int) -> bool:
+    """Exact check that every real root of mu(G, x) lies in
+    (-2 sqrt(d-1), 2 sqrt(d-1)).
+
+    mu(G, x) = x^(n mod 2) p(x^2) with p(y) = sum_k (-1)^k m_k y^(n//2 - k),
+    so the bound holds when all n//2 roots of p, counted with multiplicity
+    by Sturm sequences, lie in (-1/2, 4(d-1)).  Both endpoints are rational;
+    if one of them is a root of p the check fails."""
+    if d < 1:
+        raise DomainError("need d >= 1")
+    p = Poly(matching_poly_mu(g).coeffs[g.n % 2::2])
+    lo, hi = Fraction(-1, 2), Fraction(4 * (d - 1))
+    if p(lo) == 0 or p(hi) == 0:
+        return False
+    return count_real_roots_with_multiplicity(p, lo, hi) == g.n // 2
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpf
 
-from .certified import Enclosure
+from .certified import Enclosure, _mpf_to_fraction
 from .errors import ConvergenceError, DomainError
 from .graphs import Graph, count_subgraphs
 from .series_bounds import InequalityReport, verify_inequality
@@ -288,10 +288,6 @@ class CubicCheckReport:
             not self.hypotheses_met or self.bound_positive)
 
 
-def _mpf_to_fraction(x: mpf) -> Fraction:
-    return Fraction(*mpmath.libmp.to_rational(x._mpf_))
-
-
 def cubic_theorem_check(g: Graph, res: RemezResult, lam) -> CubicCheckReport:
     """Evaluate the cubic theorem's margin lower bound
     c_3 (3 - 3 rho_3) l^3 + c_4 (51 - 48 rho_3 - 4 rho_4) l^4 - eps
@@ -311,9 +307,9 @@ def cubic_theorem_check(g: Graph, res: RemezResult, lam) -> CubicCheckReport:
                 f"{mpmath.nstr(min(itv.cap, itv.lam_max), 10)})")
         counts = count_subgraphs(g)
         rho3, rho4 = counts.rho3, counts.rho4
-        c3 = _mpf_to_fraction(res.coeffs[3])
-        c4 = _mpf_to_fraction(res.coeffs[4])
-        eps = _mpf_to_fraction(res.epsilon)
+        c3 = _mpf_to_fraction(res.coeffs[3]._mpf_)
+        c4 = _mpf_to_fraction(res.coeffs[4]._mpf_)
+        eps = _mpf_to_fraction(res.epsilon._mpf_)
         bound = (c3 * (3 - 3 * rho3) * lam ** 3
                  + c4 * (51 - 48 * rho3 - 4 * rho4) * lam ** 4 - eps)
         hyp = rho3 <= Fraction(1, 2) and lam < -c3 / (16 * c4)

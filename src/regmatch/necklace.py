@@ -48,7 +48,7 @@ class TransferMatrix:
 
 
 def transfer_matrix(g: Graph, u: int, v: int) -> TransferMatrix:
-    if not g.has_edge(u, v):
+    if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
         raise DomainError(f"({u},{v}) is not an edge")
     keep = [w for w in range(g.n) if w not in (u, v)]
     minus_edge = Graph(g.n, [e for e in g.edges if set(e) != {u, v}])

@@ -27,6 +27,17 @@ def _horner(coeffs: Sequence, x):
     return acc
 
 
+def _poly_mul(a: Sequence, b: Sequence) -> list:
+    """Product of two coefficient sequences (lowest degree first); an empty
+    factor gives an empty or all-zero list."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
 class Poly:
     """Immutable dense polynomial over the rationals (ints allowed)."""
 
@@ -104,15 +115,7 @@ class Poly:
             if other == 0:
                 return Poly()
             return Poly(tuple(c * other for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(out)
+        return Poly(_poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

@@ -15,7 +15,8 @@ from functools import cache, lru_cache, partial
 from math import comb
 from typing import Callable
 
-from .certified import (DEFAULT_BITS, MAX_BITS, Enclosure, Verdict,
+from .certified import (DEFAULT_BITS, Enclosure, Verdict, _check_bits,
+                        _escalate, _iv_precision, _iv_to_enclosure,
                         log_enclosure)
 from .errors import DomainError
 from .graphs import Graph, count_subgraphs, neighborhood_edge_counts
@@ -177,11 +178,6 @@ class InequalityReport:
     bits: int
 
 
-def _check_bits(bits: int) -> None:
-    if bits < 1:
-        raise DomainError(f"precision must be at least 1 bit, got {bits}")
-
-
 def _per_vertex_log(value: Fraction, n: int) -> Callable[[int], Enclosure]:
     """bits -> enclosure of (1/n) ln value."""
     return lambda bits: log_enclosure(value, bits) / n
@@ -215,15 +211,11 @@ def compare_log_per_vertex(a: Fraction, n: int, b: Fraction, m: int,
     verdict = Verdict.HOLDS if lhs >= rhs else Verdict.FAILS
     if equality:
         return InequalityReport(verdict, Enclosure.exact(0), True, a, b, bits)
-    cur = bits
-    while True:
-        margin = log_a(cur) - log_b(cur)
-        if (margin.lo > 0) if lhs > rhs else (margin.hi < 0):
-            return InequalityReport(verdict, margin, False, a, b, cur)
-        if cur >= MAX_BITS:
-            # verdict is exact regardless; only the margin stays coarse
-            return InequalityReport(verdict, margin, False, a, b, cur)
-        cur = min(2 * cur, MAX_BITS)
+    # the verdict is exact regardless; at MAX_BITS only the margin stays coarse
+    margin, used = _escalate(
+        lambda prec: log_a(prec) - log_b(prec),
+        (lambda m: m.lo > 0) if lhs > rhs else (lambda m: m.hi < 0), bits)
+    return InequalityReport(verdict, margin, False, a, b, used)
 
 
 def verify_inequality(g: Graph, d: int, lam,
@@ -260,22 +252,14 @@ def tree_closed_form(d: int, lam, bits: int = DEFAULT_BITS) -> Enclosure:
         return Enclosure.exact(0)
     if 1 + 4 * (d - 1) * lam < 0:
         raise DomainError(f"lam = {lam} below -1/(4(d-1)): tree value undefined")
-    import mpmath
-    iv = mpmath.iv
-    old = iv.prec
-    iv.prec = bits + 10
-    try:
+    with _iv_precision(bits) as iv:
         lam_iv = iv.mpf(lam.numerator) / iv.mpf(lam.denominator)
         disc = 1 + 4 * (d - 1) * lam_iv
         eta = (iv.sqrt(disc) - 1) / (2 * (d - 1) * lam_iv)
         s = 1 / (eta * eta)
         if d > 2:
             s = s * ((d - 1) / (d - eta)) ** (d - 2)
-        value = iv.log(s) / 2
-        from .certified import _iv_to_enclosure
-        return _iv_to_enclosure(value)
-    finally:
-        iv.prec = old
+        return _iv_to_enclosure(iv.log(s) / 2)
 
 
 @dataclass(frozen=True)
@@ -321,19 +305,10 @@ def negative_lambda_sandwich(g: Graph, d: int, lam,
                                    log_a=partial(_complete_log, d, lam),
                                    log_b=graph_log)
     # lower side needs the (irrational) tree value; escalate then give up
-    cur = bits
-    while True:
-        tree = tree_closed_form(d, lam, cur)
-        lower_margin = graph_log(cur) - tree
-        if lower_margin.lo >= 0:
-            lower = Verdict.HOLDS
-            break
-        if lower_margin.hi < 0:
-            lower = Verdict.FAILS
-            break
-        if cur >= MAX_BITS:
-            lower = Verdict.INCONCLUSIVE
-            break
-        cur = min(2 * cur, MAX_BITS)
+    lower_margin, used = _escalate(
+        lambda prec: graph_log(prec) - tree_closed_form(d, lam, prec),
+        lambda m: m.lo >= 0 or m.hi < 0, bits)
+    lower = (Verdict.HOLDS if lower_margin.lo >= 0 else
+             Verdict.FAILS if lower_margin.hi < 0 else Verdict.INCONCLUSIVE)
     return SandwichReport(lam, lower, upper.verdict, lower_margin,
-                          upper.margin, upper.equality, cur)
+                          upper.margin, upper.equality, used)

@@ -15,7 +15,7 @@ from mpmath import mp, mpf
 import pytest
 
 from oracles import all_graphs_upto
-from regmatch.certified import Verdict, sqrt_enclosure
+from regmatch.certified import Verdict
 from regmatch.cli import main
 from regmatch.graphs import (
     canonical_key,
@@ -28,7 +28,12 @@ from regmatch.graphs import (
     petersen,
     prism,
 )
-from regmatch.matchpoly import gen_poly_value, matching_gen_poly, matching_poly_mu
+from regmatch.matchpoly import (
+    certify_root_bound,
+    gen_poly_value,
+    matching_gen_poly,
+    matching_poly_mu,
+)
 from regmatch.minimax import BASE_CAP, DEFAULT_LADDER, ladder_verify
 from regmatch.necklace import (
     critical_constant,
@@ -281,14 +286,9 @@ def test_real_rooted_with_certified_root_bound(cubic_by_n, quartic10,
                 mu = matching_poly_mu(g)
                 assert mu.degree == g.n
                 assert count_real_roots_with_multiplicity(mu) == g.n
-                for bits in (128, 256, 512, 1024):
-                    bound = sqrt_enclosure(Fraction(4 * (d - 1)), bits).lo
-                    if count_real_roots_with_multiplicity(
-                            mu, -bound, bound) == g.n:
-                        break
-                else:
-                    pytest.fail(f"roots of {canonical_key(g)} not certified "
-                                f"inside (-2 sqrt({d - 1}), 2 sqrt({d - 1}))")
+                assert certify_root_bound(g, d), (
+                    f"roots of {canonical_key(g)} not certified "
+                    f"inside (-2 sqrt({d - 1}), 2 sqrt({d - 1}))")
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,11 @@ from regmatch.certified import (
     DEFAULT_BITS,
     MAX_BITS,
     Enclosure,
-    Verdict,
-    compare_enclosures,
-    exp_enclosure,
+    _escalate,
+    _iv_precision,
+    _iv_to_enclosure,
     log_enclosure,
     sqrt_enclosure,
-    with_escalation,
 )
 
 
@@ -50,13 +49,18 @@ def test_enclosure_comparisons():
 
 
 def test_log_enclosure_brackets_truth():
-    # e^lo <= q <= e^hi iff lo <= ln q <= hi; check via exp round trip
+    # e^lo <= q <= e^hi iff lo <= ln q <= hi; check via exp round trip,
+    # with mpmath's interval exp at the same precision as the oracle
+    def exp(x: Fraction) -> Enclosure:
+        with _iv_precision(DEFAULT_BITS) as iv:
+            return _iv_to_enclosure(iv.exp(iv.mpf(x.numerator) / iv.mpf(x.denominator)))
+
     for q in (Fraction(2), Fraction(10), Fraction(1, 3), Fraction(19, 64)):
         enc = log_enclosure(q)
         assert enc.width < Fraction(1, 2 ** 100)
-        back = exp_enclosure(enc.lo)
+        back = exp(enc.lo)
         assert back.lo <= q
-        back_hi = exp_enclosure(enc.hi)
+        back_hi = exp(enc.hi)
         assert back_hi.hi >= q
     assert log_enclosure(Fraction(1)).contains(0)
 
@@ -83,21 +87,20 @@ def test_escalation_runs_until_success():
         calls.append(bits)
         return "ok" if bits >= 512 else None
 
-    result, bits = with_escalation(attempt, DEFAULT_BITS, MAX_BITS)
+    result, bits = _escalate(attempt, lambda r: r is not None, DEFAULT_BITS)
     assert result == "ok"
     assert bits == 512
     assert calls == [128, 256, 512]
 
 
 def test_escalation_gives_up():
-    result, bits = with_escalation(lambda b: None, DEFAULT_BITS, MAX_BITS)
+    calls = []
+
+    def attempt(bits):
+        calls.append(bits)
+        return None
+
+    result, bits = _escalate(attempt, lambda r: r is not None, DEFAULT_BITS)
     assert result is None
     assert bits == MAX_BITS
-
-
-def test_compare_enclosures():
-    a = Enclosure(Fraction(2), Fraction(3))
-    b = Enclosure(Fraction(0), Fraction(1))
-    assert compare_enclosures(a, b) is Verdict.HOLDS
-    assert compare_enclosures(b, a) is Verdict.FAILS
-    assert compare_enclosures(a, Enclosure(Fraction(5, 2), Fraction(7, 2))) is None
+    assert calls == [128, 256, 512, 1024]

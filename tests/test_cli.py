@@ -165,15 +165,40 @@ def test_bad_rational_rejected(capsys):
     ["--precision-bits", "0"],
     ["--precision-bits", "-5"],
     ["--precision-bits", "abc"],
+    ["--precision-bits", "4000000"],
 ])
 def test_verify_rejects_nonpositive_step_and_precision(capsys, argv):
-    # these once divided by zero, never finished escalating, or overflowed
+    # these once divided by zero, never finished escalating, overflowed, or
+    # (above MAX_BITS) started at an unbounded precision
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--d", "3", "--nmax", "6", "--lambda", "1/100", *argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error: argument --" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["necklace", "--edge", "5,0"],
+    ["necklace", "--edge=-1,0"],
+    ["remez", "--a", "abc"],
+    ["remez", "--a", "1/0"],
+    ["ladder", "--target", "abc"],
+    ["cd", "--width", "0"],
+    ["poly", "/nonexistent/graphs.g6"],
+    ["ladder", "--config", "/nonexistent/ladder.txt"],
+])
+def test_bad_input_exits_two_without_traceback(capsys, argv):
+    # these once raised IndexError, ValueError or FileNotFoundError (exit 1,
+    # read as FAILS) or, for a zero width, bisected forever
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error:" in err
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +217,14 @@ def test_ladder_gap_from_config(tmp_path, capsys):
     assert code == 1
     assert "GAP" in out
     assert "NOT COVERED" in out
+
+
+def test_ladder_config_rejects_non_decimal(tmp_path, capsys):
+    config = tmp_path / "ladder.txt"
+    config.write_text("0.2\nabc  # not a decimal\n")
+    code, out, err = run(capsys, "ladder", "--config", str(config))
+    assert code == 2
+    assert "not a finite decimal: 'abc'" in err
 
 
 def test_remez_output(capsys):

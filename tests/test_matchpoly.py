@@ -22,6 +22,7 @@ from regmatch.graphs import (
     petersen,
 )
 from regmatch.matchpoly import (
+    certify_root_bound,
     gen_poly_value,
     log_per_vertex,
     matching_counts,
@@ -92,6 +93,15 @@ def test_mu_transform():
     assert mu == Poly([3, 0, -6, 0, 1])
     mu5 = matching_poly_mu(cycle(5))
     assert mu5 == Poly([0, 5, 0, -5, 0, 1])
+
+
+def test_certify_root_bound():
+    # Petersen: largest root of mu is 2.6314... < 2 sqrt 2 = 2.8284...
+    assert certify_root_bound(petersen(), 3)
+    # K_{1,4}: mu = x^3 (x^2 - 4); p(y) = y^2 - 4y has a root at 4(d-1) = 4
+    assert not certify_root_bound(complete_bipartite(1, 4), 2)
+    # K_{1,9}: roots +-3 lie outside (-2, 2)
+    assert not certify_root_bound(complete_bipartite(1, 9), 2)
 
 
 def test_gen_poly_value_matches_poly_call():

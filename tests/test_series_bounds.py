@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from regmatch.certified import Verdict, log_enclosure
+from regmatch.certified import MAX_BITS, Verdict, log_enclosure
 from regmatch.errors import DomainError
 from regmatch.graphs import (
     canonical_key,
@@ -227,8 +227,9 @@ def test_verify_inequality_domain():
 
 
 def test_precision_below_one_bit_rejected():
-    # bits = 0 would never escalate, negative bits overflow in mpmath
-    for bits in (0, -5):
+    # bits = 0 would never escalate, negative bits overflow in mpmath, and a
+    # start above MAX_BITS would be used as given, without a bound
+    for bits in (0, -5, MAX_BITS + 1):
         with pytest.raises(DomainError):
             compare_log_per_vertex(Fraction(9), 2, Fraction(2), 1, bits=bits)
         with pytest.raises(DomainError):
