@@ -8,7 +8,8 @@ without --out.  Reports are deterministic for fixed inputs and precision
 that varies between runs).
 
 Exit codes: 0 when every item verdict is HOLDS (or the command is purely
-generative), 1 when any item FAILS or is INCONCLUSIVE, 2 on malformed input.
+generative), 1 when any item FAILS or is INCONCLUSIVE, 2 on malformed input,
+3 on an internal error (a crash, which must never read as a verdict).
 """
 
 from __future__ import annotations
@@ -83,6 +84,18 @@ def _positive(parse):
     return positive
 
 
+def _bounded(lo: int, hi: int):
+    """argparse type: an integer in lo..hi, so no option asks for unbounded
+    work (each hi is set where a run takes about 10 s)."""
+    def bounded(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be in {lo}..{hi}: {text!r}")
+        return value
+    bounded.__name__ = "int"  # argparse names it in its messages
+    return bounded
+
+
 def _precision_bits(text: str) -> int:
     """argparse type: a starting precision, held to the library's range."""
     try:
@@ -95,15 +108,21 @@ def _precision_bits(text: str) -> int:
     return bits
 
 
+_REAL_MAX = 1000  # far past the ladder's 2.87; Remez turns singular near 1e20
+
+
 def _real(text: str) -> str:
-    """argparse type: a finite decimal, kept as the text itself (the reports
-    echo it as given)."""
+    """argparse type: a decimal of magnitude at most _REAL_MAX, kept as the
+    text itself (the reports echo it as given)."""
     try:
-        ok = mpmath.isfinite(mpmath.mpf(text))
+        value = mpmath.mpf(text)
+        ok = mpmath.isfinite(value)
     except (ValueError, ZeroDivisionError):
         ok = False
     if not ok:
         raise argparse.ArgumentTypeError(f"not a finite decimal: {text!r}")
+    if abs(value) > _REAL_MAX:
+        raise argparse.ArgumentTypeError(f"magnitude above {_REAL_MAX}: {text!r}")
     return text
 
 
@@ -540,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ak-table", help="2a_k tables: K_{d+1}, infinite tree, necklaces")
     p.add_argument("--d", type=int, default=3)
-    p.add_argument("--kmax", type=int, default=10)
+    p.add_argument("--kmax", type=_bounded(1, 2000), default=10)
     common(p)
     p.set_defaults(func=_cmd_ak_table)
 
@@ -552,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-step", type=_positive(_rational), default=Fraction(1, 400))
     p.add_argument("--grid-max", type=_rational, default=Fraction(143, 400))
     p.add_argument("--precision-bits", type=_precision_bits, default=DEFAULT_BITS)
-    p.add_argument("--include-necklaces", type=int, default=0, metavar="KMAX",
+    p.add_argument("--include-necklaces", type=_bounded(0, 11), default=0, metavar="KMAX",
                    help="also sweep diamond necklaces DN_2..DN_KMAX (d=3)")
     common(p)
     p.set_defaults(func=_cmd_verify)
@@ -561,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="PATH",
                    help="file of A values, one per line (# comments)")
     p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--dps", type=int, default=_DPS)
+    p.add_argument("--dps", type=_bounded(15, 400), default=_DPS)
     p.add_argument("--base-cap", type=_rational, default=BASE_CAP)
     p.add_argument("--target", type=_real, default=COVER_TARGET)
     common(p)
@@ -570,12 +589,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("remez", help="minimax polynomial for log(1+x) on [0, A]")
     p.add_argument("--a", type=_real, required=True, help="right endpoint A (decimal)")
     p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--dps", type=int, default=_DPS)
+    p.add_argument("--dps", type=_bounded(15, 400), default=_DPS)
     common(p)
     p.set_defaults(func=_cmd_remez)
 
     p = sub.add_parser("cd", help="critical constants c_d for odd d")
-    p.add_argument("--dmax", type=int, default=9)
+    p.add_argument("--dmax", type=_bounded(3, 201), default=9)
     p.add_argument("--width", type=_positive(_rational), default=Fraction(1, 10 ** 10))
     common(p)
     p.set_defaults(func=_cmd_cd)
@@ -584,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph6", help="base graph as a graph6 string")
     p.add_argument("--builtin", choices=sorted(_BUILTIN_GRAPHS), default="k4")
     p.add_argument("--edge", type=_edge, default=(0, 1), metavar="U,V")
-    p.add_argument("--kmax", type=int, default=4)
+    p.add_argument("--kmax", type=_bounded(2, 12), default=4)
     common(p)
     p.set_defaults(func=_cmd_necklace)
 
@@ -614,6 +633,10 @@ def main(argv=None) -> int:
     except (RegmatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -237,6 +237,10 @@ def parse_graph6_lines(text: str) -> list[Graph]:
 # position k; its contribution is the k-bit adjacency pattern to positions
 # 0..k-1, so a greedy level-by-level maximum with tie branching is exact.
 # The number of optimal leaves equals the automorphism group order.
+# A node keeps the unplaced vertices as cells, (key, mask) pairs with one
+# cell per key (the adjacency pattern to the placed vertices) in strictly
+# decreasing key order; the top cell is the tie set.  Placing u splits each
+# cell into neighbors of u (key << 1 | 1) and the rest (key << 1), in order.
 
 class _BudgetExceeded(Exception):
     pass
@@ -248,19 +252,21 @@ def _canonical_order_masks(n: int, adj: Sequence[int],
     if n == 0:
         return (), 1
     best_levels = [-1] * n
-    state = {"order": None, "aut": 0, "nodes": 0}
+    placed = []
+    order, aut, nodes = None, 0, 0
 
-    def dfs(placed: list[int], keys: list[int]) -> None:
+    def dfs(cells: list[tuple[int, int]]) -> None:
+        nonlocal order, aut, nodes
         k = len(placed)
         if k == n:
-            if state["order"] is None:
-                state["order"] = tuple(placed)
-            state["aut"] += 1
+            if order is None:
+                order = tuple(placed)
+            aut += 1
             return
-        state["nodes"] += 1
-        if budget is not None and state["nodes"] > budget:
+        nodes += 1
+        if budget is not None and nodes > budget:
             raise _BudgetExceeded
-        cur = max(keys[u] for u in range(n) if keys[u] >= 0)
+        cur, top = cells[0]
         rec = best_levels[k]
         if cur < rec:
             return
@@ -268,19 +274,28 @@ def _canonical_order_masks(n: int, adj: Sequence[int],
             best_levels[k] = cur
             for i in range(k + 1, n):
                 best_levels[i] = -1
-            state["order"] = None
-            state["aut"] = 0
-        for u in range(n):
-            if keys[u] == cur:
-                placed.append(u)
-                nkeys = [(kv << 1 | (adj[w] >> u & 1)) if kv >= 0 else -1
-                         for w, kv in enumerate(keys)]
-                nkeys[u] = -1
-                dfs(placed, nkeys)
-                placed.pop()
+            order = None
+            aut = 0
+        while top:  # the children are _bits(top), in increasing order
+            low = top & -top
+            top ^= low
+            u = low.bit_length() - 1
+            on = adj[u]
+            off = ~(on | low)
+            nxt = []
+            for key, m in cells:
+                hi = m & on
+                if hi:
+                    nxt.append((key << 1 | 1, hi))
+                lo = m & off
+                if lo:
+                    nxt.append((key << 1, lo))
+            placed.append(u)
+            dfs(nxt)
+            placed.pop()
 
-    dfs([], [0] * n)
-    return state["order"], state["aut"]
+    dfs([(0, (1 << n) - 1)])
+    return order, aut
 
 
 def canonical_order(g: Graph) -> tuple[int, ...]:

@@ -1,8 +1,13 @@
 """Session-scoped corpora shared across test modules."""
 
 import pytest
+from hypothesis import settings
 
 from regmatch.graphs import generate_connected_regular
+
+# the property tests draw the same examples on every run
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def _corpus(d, sizes):

@@ -12,8 +12,9 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import Sequence
 
-from regmatch.graphs import Graph
+from regmatch.graphs import Graph, _BudgetExceeded
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +305,52 @@ def all_graphs_upto(nmax: int) -> dict[int, list[Graph]]:
                 seen.setdefault(canonical_key(cand), cand)
         levels[n] = [seen[k] for k in sorted(seen)]
     return levels
+
+
+# ---------------------------------------------------------------------------
+# Canonical search, as a per-node rescan of every vertex's key
+
+def reference_canonical_order_masks(n: int, adj: Sequence[int],
+                                    budget: int | None = None) -> tuple[tuple[int, ...], int]:
+    """Return (canonical order, automorphism count) for adjacency masks.
+
+    The list-based search that predates the cell layout in
+    graphs._canonical_order_masks: every node rebuilds all n keys and scans
+    them for the maximum.  Same tree, same node count, same budget error.
+    """
+    if n == 0:
+        return (), 1
+    best_levels = [-1] * n
+    state = {"order": None, "aut": 0, "nodes": 0}
+
+    def dfs(placed: list[int], keys: list[int]) -> None:
+        k = len(placed)
+        if k == n:
+            if state["order"] is None:
+                state["order"] = tuple(placed)
+            state["aut"] += 1
+            return
+        state["nodes"] += 1
+        if budget is not None and state["nodes"] > budget:
+            raise _BudgetExceeded
+        cur = max(keys[u] for u in range(n) if keys[u] >= 0)
+        rec = best_levels[k]
+        if cur < rec:
+            return
+        if cur > rec:
+            best_levels[k] = cur
+            for i in range(k + 1, n):
+                best_levels[i] = -1
+            state["order"] = None
+            state["aut"] = 0
+        for u in range(n):
+            if keys[u] == cur:
+                placed.append(u)
+                nkeys = [(kv << 1 | (adj[w] >> u & 1)) if kv >= 0 else -1
+                         for w, kv in enumerate(keys)]
+                nkeys[u] = -1
+                dfs(placed, nkeys)
+                placed.pop()
+
+    dfs([], [0] * n)
+    return state["order"], state["aut"]

@@ -187,10 +187,18 @@ def test_verify_rejects_nonpositive_step_and_precision(capsys, argv):
     ["cd", "--width", "0"],
     ["poly", "/nonexistent/graphs.g6"],
     ["ladder", "--config", "/nonexistent/ladder.txt"],
+    ["remez", "--a", "1e99999"],
+    ["remez", "--a", "0.2", "--dps", "20000"],
+    ["ladder", "--dps", "14"],
+    ["ak-table", "--kmax", "100000"],
+    ["cd", "--dmax", "100001"],
+    ["necklace", "--kmax", "100000"],
+    ["verify", "--include-necklaces", "100"],
 ])
 def test_bad_input_exits_two_without_traceback(capsys, argv):
-    # these once raised IndexError, ValueError or FileNotFoundError (exit 1,
-    # read as FAILS) or, for a zero width, bisected forever
+    # these once raised IndexError, ValueError, FileNotFoundError or (for
+    # --a 1e99999) ZeroDivisionError, exiting 1 as if FAILS, or ran unbounded
+    # (a zero width, or an integer option with no upper limit)
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -199,6 +207,16 @@ def test_bad_input_exits_two_without_traceback(capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error:" in err
+
+
+def test_crash_exits_three_with_one_line(monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise ZeroDivisionError("matrix is numerically singular\n  at row 3")
+
+    monkeypatch.setattr("regmatch.cli.remez_best_approx", singular)
+    code, out, err = run(capsys, "remez", "--a", "0.2")
+    assert code == 3
+    assert err == "error: internal: ZeroDivisionError: matrix is numerically singular at row 3\n"
 
 
 # ---------------------------------------------------------------------------

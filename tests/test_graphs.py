@@ -5,6 +5,8 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     DIAMOND,
@@ -17,11 +19,15 @@ from oracles import (
     labeled_connected_regular_count,
     labeled_regular_count,
     labeled_regular_graphs,
+    reference_canonical_order_masks,
 )
+from regmatch import graphs as graphs_module
 from regmatch.errors import CapacityError, Graph6ParseError, NoGraphsError, RegmatchError
 from regmatch.graphs import (
     CoverSpec,
     Graph,
+    _BudgetExceeded,
+    _canonical_order_masks,
     automorphism_count,
     build_cover,
     canonical_form,
@@ -62,6 +68,14 @@ NAMED = {
     "diamond": diamond(),
     "circ82": circulant(8, (1, 2)),
 }
+
+
+@st.composite
+def small_graphs(draw, nmax):
+    n = draw(st.integers(0, nmax))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +150,20 @@ def test_graph6_roundtrip_random():
         assert parse_graph6(encode_graph6(g)).edges == g.edges
 
 
+@st.composite
+def graph6_graphs(draw):
+    n = draw(st.integers(0, 62))
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=80)) if pairs else ()
+    return Graph(n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph6_graphs())
+def test_graph6_roundtrip_property(g):
+    assert parse_graph6(encode_graph6(g)) == g
+
+
 def test_graph6_error_offsets():
     with pytest.raises(Graph6ParseError) as err:
         parse_graph6("")
@@ -187,6 +215,51 @@ def test_canonical_invariant_under_relabeling():
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert canonical_key(g.relabel(tuple(perm))) == key
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(8), st.data())
+def test_canonical_key_invariant_under_random_relabeling(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    assert canonical_key(g.relabel(perm)) == canonical_key(g)
+
+
+def _search_outcome(search, n, adj, budget):
+    try:
+        return search(n, adj, budget)
+    except _BudgetExceeded:
+        return "budget exceeded"
+
+
+def _assert_same_search(n, adj):
+    """The cell search and the list-based reference give the same order and
+    automorphism count, and run out of every budget at the same point."""
+    assert _canonical_order_masks(n, adj) == reference_canonical_order_masks(n, adj)
+    for budget in (0, 1, 10, 100, 20000):
+        assert (_search_outcome(_canonical_order_masks, n, adj, budget)
+                == _search_outcome(reference_canonical_order_masks, n, adj, budget)), budget
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs(9))
+def test_canonical_search_matches_reference(g):
+    _assert_same_search(g.n, g.adj)
+
+
+def test_canonical_search_matches_reference_on_generation_inputs(monkeypatch):
+    seen = []
+    search = graphs_module._canonical_order_masks
+
+    def recording(n, adj, budget=None):
+        seen.append((n, tuple(adj)))
+        return search(n, adj, budget)
+
+    monkeypatch.setattr(graphs_module, "_canonical_order_masks", recording)
+    assert len(generate_connected_regular(10, 3)) == 19
+    monkeypatch.undo()
+    assert len(seen) > 19
+    for n, adj in seen:
+        _assert_same_search(n, adj)
 
 
 def test_canonical_form_idempotent():
