@@ -26,7 +26,7 @@ import mpmath
 
 from . import __version__
 from .certified import DEFAULT_BITS, Enclosure, Verdict, _check_bits
-from .errors import DomainError, Graph6ParseError, NoGraphsError, RegmatchError
+from .errors import CapacityError, DomainError, Graph6ParseError, NoGraphsError, RegmatchError
 from .graphs import (
     Graph,
     canonical_key,
@@ -35,6 +35,7 @@ from .graphs import (
     diamond,
     diamond_necklace,
     generate_connected_regular,
+    generation_cap,
     necklace_cover,
     parse_graph6,
     petersen,
@@ -94,6 +95,11 @@ def _bounded(lo: int, hi: int):
         return value
     bounded.__name__ = "int"  # argparse names it in its messages
     return bounded
+
+
+# lambda_interval needs c_3 and c_4; degree 10 runs out of exchanges in
+# about 10 s
+_DEGREE = _bounded(4, 10)
 
 
 def _precision_bits(text: str) -> int:
@@ -263,6 +269,12 @@ def _read_graph_inputs(paths: list[str]) -> list[tuple[str, str, int, Graph]]:
 
 
 def _corpus(d: int, nmax: int) -> list[Graph]:
+    # refuse before generating the sizes below the cap (d = 0 and 1 have one
+    # graph each and no cap applies)
+    cap = generation_cap(d)
+    if d >= 2 and any(n * d % 2 == 0 and (cap is None or n > cap)
+                      for n in range(d + 1, nmax + 1)):
+        raise CapacityError(f"--nmax {nmax} above the generation cap for d={d}")
     graphs = []
     for n in range(d + 1, nmax + 1):
         try:
@@ -558,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_poly)
 
     p = sub.add_parser("ak-table", help="2a_k tables: K_{d+1}, infinite tree, necklaces")
-    p.add_argument("--d", type=int, default=3)
+    p.add_argument("--d", type=_bounded(1, 24), default=3)
     p.add_argument("--kmax", type=_bounded(1, 2000), default=10)
     common(p)
     p.set_defaults(func=_cmd_ak_table)
@@ -579,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ladder", help="interval ladder covering (0, target]")
     p.add_argument("--config", metavar="PATH",
                    help="file of A values, one per line (# comments)")
-    p.add_argument("--degree", type=int, default=4)
+    p.add_argument("--degree", type=_DEGREE, default=4)
     p.add_argument("--dps", type=_bounded(15, 400), default=_DPS)
     p.add_argument("--base-cap", type=_rational, default=BASE_CAP)
     p.add_argument("--target", type=_real, default=COVER_TARGET)
@@ -588,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("remez", help="minimax polynomial for log(1+x) on [0, A]")
     p.add_argument("--a", type=_real, required=True, help="right endpoint A (decimal)")
-    p.add_argument("--degree", type=int, default=4)
+    p.add_argument("--degree", type=_DEGREE, default=4)
     p.add_argument("--dps", type=_bounded(15, 400), default=_DPS)
     common(p)
     p.set_defaults(func=_cmd_remez)

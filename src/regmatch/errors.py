@@ -35,7 +35,3 @@ class DomainError(RegmatchError):
 
 class ConvergenceError(RegmatchError):
     """An iterative routine failed to converge within its iteration cap."""
-
-    def __init__(self, message: str, detail=None):
-        self.detail = detail
-        super().__init__(message)

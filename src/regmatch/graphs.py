@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapacityError, Graph6ParseError, NoGraphsError, RegmatchError
 
@@ -47,10 +47,6 @@ class Graph:
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -559,57 +555,22 @@ def max_matching(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # Covers
 
-@dataclass(frozen=True)
-class CoverSpec:
-    """k-fold cover description.
-
-    Every base edge lifts to a perfect matching between fibers; by default
-    the identity on every edge except the marked one, which gets the cyclic
-    shift i -> i+1 (oriented from the smaller to the larger endpoint).
-    Custom permutations may be supplied per normalized edge (u < v).
-    """
-
-    base: Graph
-    marked_edge: tuple[int, int]
-    k: int
-    perms: Mapping[tuple[int, int], tuple[int, ...]] | None = None
-
-    def __post_init__(self):
-        u, v = self.marked_edge
-        if u > v:
-            object.__setattr__(self, "marked_edge", (v, u))
-        if not self.base.has_edge(*self.marked_edge):
-            raise RegmatchError(f"marked pair {self.marked_edge} is not an edge")
-        if self.k < 2:
-            raise RegmatchError("cover fold k must be >= 2")
-        if self.perms:
-            for e, perm in self.perms.items():
-                if not self.base.has_edge(*e):
-                    raise RegmatchError(f"permutation assigned to non-edge {e}")
-                if sorted(perm) != list(range(self.k)):
-                    raise RegmatchError(f"assignment on {e} is not a permutation")
-
-
-def build_cover(spec: CoverSpec) -> Graph:
-    g = spec.base
-    k = spec.k
-    shift = tuple((i + 1) % k for i in range(k))
-    identity = tuple(range(k))
-    edges = []
-    for u, v in g.edges:
-        if spec.perms and (u, v) in spec.perms:
-            perm = tuple(spec.perms[(u, v)])
-        elif (u, v) == spec.marked_edge:
-            perm = shift
-        else:
-            perm = identity
-        for i in range(k):
-            edges.append((u * k + i, v * k + perm[i]))
-    return Graph(g.n * k, edges)
-
-
 def necklace_cover(base: Graph, marked_edge: tuple[int, int], k: int) -> Graph:
-    return build_cover(CoverSpec(base, marked_edge, k))
+    """k-fold cover of base: vertex u*k + i is copy i of u.  Every base edge
+    lifts to the identity between fibers except the marked one, which gets
+    the cyclic shift i -> i+1 (oriented from the smaller to the larger
+    endpoint)."""
+    marked = tuple(sorted(marked_edge))
+    a, b = marked
+    if not (0 <= a and b < base.n and base.has_edge(a, b)):
+        raise RegmatchError(f"marked pair {marked} is not an edge")
+    if k < 2:
+        raise RegmatchError("cover fold k must be >= 2")
+    edges = []
+    for u, v in base.edges:
+        step = 1 if (u, v) == marked else 0
+        edges.extend((u * k + i, v * k + (i + step) % k) for i in range(k))
+    return Graph(base.n * k, edges)
 
 
 def diamond_necklace(k: int) -> Graph:

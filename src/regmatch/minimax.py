@@ -18,12 +18,15 @@ from mpmath import mp, mpf
 from .certified import Enclosure, _mpf_to_fraction
 from .errors import ConvergenceError, DomainError
 from .graphs import Graph, count_subgraphs
+from .polynomials import _horner
 from .series_bounds import InequalityReport, verify_inequality
 
 DEFAULT_LADDER = ("0.2", "0.5", "0.9", "1.4", "1.8", "2.3", "2.6", "2.8", "2.87")
 BASE_CAP = Fraction(1, 144)       # (0, 1/(4d)^2) for d = 3 from the general theorem
 COVER_TARGET = "0.3575"
 _DPS = 40
+_MAX_EXCHANGES = 60
+_EXTREMA_SAMPLES = 1024     # grid on which sign changes of e'(x) are sought
 
 
 @dataclass(frozen=True)
@@ -39,10 +42,7 @@ class RemezResult:
     max_deviation: mpf
 
     def poly_at(self, x) -> mpf:
-        acc = mpf(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
     def error_at(self, x) -> mpf:
         return mpmath.log(1 + x) - self.poly_at(x)
@@ -57,32 +57,31 @@ class RemezResult:
 
 
 def _solve_reference_system(refs, degree):
-    m = len(refs)
     rows = []
     rhs = []
     for i, x in enumerate(refs):
         rows.append([x ** j for j in range(degree + 1)] + [(-1) ** i])
         rhs.append(mpmath.log(1 + x))
-    sol = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
+    try:
+        sol = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
+    except ZeroDivisionError:  # mpmath's report of a singular matrix
+        raise ConvergenceError("singular Remez reference system") from None
     return [sol[j] for j in range(degree + 1)], sol[degree + 1]
 
 
-def _error_extrema(coeffs, A, degree, samples=1024):
+def _error_extrema(coeffs, A, degree):
     """Extremum candidates of e(x) = ln(1+x) - P(x) on [0, A]: both
     endpoints plus the sign changes of e'(x) = 1/(1+x) - P'(x)."""
     dcoeffs = [j * coeffs[j] for j in range(1, degree + 1)]
 
     def deriv(x):
-        acc = mpf(0)
-        for c in reversed(dcoeffs):
-            acc = acc * x + c
-        return 1 / (1 + x) - acc
+        return 1 / (1 + x) - _horner(dcoeffs, x)
 
     points = [mpf(0)]
-    step = A / samples
+    step = A / _EXTREMA_SAMPLES
     prev_x, prev_s = mpf(0), deriv(mpf(0))
-    for i in range(1, samples + 1):
-        x = A * i / samples
+    for i in range(1, _EXTREMA_SAMPLES + 1):
+        x = A * i / _EXTREMA_SAMPLES
         s = deriv(x)
         if s == 0:
             points.append(x)
@@ -128,46 +127,36 @@ def _select_alternating(points, errs, m):
     return best[1]
 
 
-def remez_best_approx(A, degree: int = 4, tol=None, max_iter: int = 60,
-                      dps: int = _DPS) -> RemezResult:
+def remez_best_approx(A, degree: int = 4, dps: int = _DPS) -> RemezResult:
     """Deterministic minimax fit of ln(1+x) on [0, A].
 
     Convergence: the solved equioscillation level agrees with the measured
-    maximum deviation to the given relative tolerance.
+    maximum deviation to a relative tolerance of 10^(10 - dps).
     """
+    if degree < 1:
+        raise DomainError("need degree >= 1")
     with mp.workdps(dps):
         A = mpf(str(A)) if not isinstance(A, mpf) else A
         if A <= 0:
             raise DomainError("need A > 0")
-        tol = mpf(tol) if tol is not None else mpf(10) ** (-dps + 10)
+        tol = mpf(10) ** (-dps + 10)
         m = degree + 2
         refs = [A / 2 * (1 - mpmath.cos(mpmath.pi * i / (m - 1)))
                 for i in range(m)]
-        last = None
-        for it in range(1, max_iter + 1):
+        for it in range(1, _MAX_EXCHANGES + 1):
             coeffs, level = _solve_reference_system(refs, degree)
-
-            def err(x):
-                acc = mpf(0)
-                for c in reversed(coeffs):
-                    acc = acc * x + c
-                return mpmath.log(1 + x) - acc
-
             points = _error_extrema(coeffs, A, degree)
-            errs = [err(x) for x in points]
+            errs = [mpmath.log(1 + x) - _horner(coeffs, x) for x in points]
             maxdev = max(abs(e) for e in errs)
             selected = _select_alternating(points, errs, m)
             if selected is None:
-                raise ConvergenceError(
-                    "equioscillation structure lost", detail={"refs": refs})
-            last = RemezResult(A, degree, tuple(coeffs), abs(level),
-                               tuple(selected), it, maxdev)
+                raise ConvergenceError("equioscillation structure lost")
             if maxdev - abs(level) <= tol * maxdev:
-                return last
+                return RemezResult(A, degree, tuple(coeffs), abs(level),
+                                   tuple(selected), it, maxdev)
             refs = selected
         raise ConvergenceError(
-            f"Remez did not converge in {max_iter} exchanges",
-            detail={"refs": last.refs if last else refs})
+            f"Remez did not converge in {_MAX_EXCHANGES} exchanges")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .matchpoly import matching_gen_poly, q_complete, q_complete_minus_edge
 from .polynomials import Poly
 
 _X = Poly([0, 1])
+_DIVISOR_CAP = 10 ** 12  # _divisors gives up above it (trial division to 10^6)
 
 
 @dataclass(frozen=True)
@@ -187,9 +188,9 @@ class CriticalConstant:
         return (self.lo + self.hi) / 2
 
 
-def _divisors(n: int, cap: int = 10 ** 12) -> list[int]:
+def _divisors(n: int) -> list[int]:
     n = abs(n)
-    if n == 0 or n > cap:
+    if n == 0 or n > _DIVISOR_CAP:
         return []
     out = set()
     i = 1

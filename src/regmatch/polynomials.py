@@ -255,17 +255,8 @@ def _chain_signs_at(chain: Sequence[Poly], x) -> list[int]:
     return [_sign(q(x)) for q in chain]
 
 
-def count_distinct_real_roots(p: Poly, lo=None, hi=None) -> int:
-    """Number of distinct real roots of p in the open interval (lo, hi).
-
-    None endpoints mean -inf / +inf.  Finite endpoints must be exact
-    rationals and must not be roots of p (raises ValueError if they are):
-    with that restriction the open/closed distinction is immaterial and the
-    Sturm count is exact.
-    """
-    if p.degree < 1:
-        return 0
-    sf = squarefree_part(p)
+def _sturm_count(sf: Poly, lo, hi) -> int:
+    """Distinct real roots of the squarefree nonconstant sf in (lo, hi)."""
     a = "-inf" if lo is None else Fraction(lo)
     b = "+inf" if hi is None else Fraction(hi)
     for endpoint in (a, b):
@@ -277,9 +268,20 @@ def count_distinct_real_roots(p: Poly, lo=None, hi=None) -> int:
     return va - vb
 
 
+def count_distinct_real_roots(p: Poly, lo=None, hi=None) -> int:
+    """Number of distinct real roots of p in the open interval (lo, hi).
+
+    None endpoints mean -inf / +inf.  Finite endpoints must be exact
+    rationals and must not be roots of p (raises ValueError if they are):
+    with that restriction the open/closed distinction is immaterial and the
+    Sturm count is exact.
+    """
+    if p.degree < 1:
+        return 0
+    return _sturm_count(squarefree_part(p), lo, hi)
+
+
 def count_real_roots_with_multiplicity(p: Poly, lo=None, hi=None) -> int:
     """Total number of real roots in (lo, hi) counted with multiplicity."""
-    total = 0
-    for factor, mult in squarefree_decomposition(p):
-        total += mult * count_distinct_real_roots(factor, lo, hi)
-    return total
+    return sum(mult * _sturm_count(factor, lo, hi)
+               for factor, mult in squarefree_decomposition(p))

@@ -101,7 +101,6 @@ def tree_like_walk_total(g: Graph, length: int) -> int:
 class PowerSums:
     """Normalized power sums a_1..a_K of the squared matching roots."""
 
-    label: str
     values: tuple[Fraction, ...]
 
     @property
@@ -118,7 +117,7 @@ class PowerSums:
         return 2 * self.a(k)
 
 
-def power_sums_newton(gen_poly: Poly, n: int, order: int, label: str = "") -> PowerSums:
+def power_sums_newton(gen_poly: Poly, n: int, order: int) -> PowerSums:
     """a_k from the matching generating polynomial via Newton's identities.
 
     The g_i are the roots of the reversed polynomial, so the elementary
@@ -134,13 +133,12 @@ def power_sums_newton(gen_poly: Poly, n: int, order: int, label: str = "") -> Po
         for i in range(1, k):
             acc += (-1) ** (i - 1) * e[i] * p[k - i - 1]
         p.append(acc)
-    return PowerSums(label or f"n={n}", tuple(Fraction(pk, n) for pk in p))
+    return PowerSums(tuple(Fraction(pk, n) for pk in p))
 
 
-def graph_power_sums(g: Graph, order: int, label: str = "") -> PowerSums:
+def graph_power_sums(g: Graph, order: int) -> PowerSums:
     from .matchpoly import matching_gen_poly
-    return power_sums_newton(matching_gen_poly(g), g.n, order,
-                             label or f"graph-n{g.n}")
+    return power_sums_newton(matching_gen_poly(g), g.n, order)
 
 
 def infinite_tree_power_sums(d: int, order: int) -> PowerSums:
@@ -165,4 +163,4 @@ def infinite_tree_power_sums(d: int, order: int) -> PowerSums:
         cur = nxt
         if step % 2 == 0:
             svals.append(cur[0])
-    return PowerSums(f"tree-d{d}", tuple(Fraction(s, 2) for s in svals))
+    return PowerSums(tuple(Fraction(s, 2) for s in svals))

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, exit codes, reports."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -7,7 +8,7 @@ import re
 
 import pytest
 
-from regmatch.cli import main
+from regmatch.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -194,11 +195,19 @@ def test_verify_rejects_nonpositive_step_and_precision(capsys, argv):
     ["cd", "--dmax", "100001"],
     ["necklace", "--kmax", "100000"],
     ["verify", "--include-necklaces", "100"],
+    ["remez", "--a", "1e-30"],
+    ["remez", "--a", "0.2", "--degree", "40"],
+    ["remez", "--a", "0.2", "--degree", "-3"],
+    ["ak-table", "--d", "500"],
+    ["verify", "--d", "3", "--nmax", "100000"],
+    ["polytope", "--d", "4", "--nmax", "12"],
 ])
 def test_bad_input_exits_two_without_traceback(capsys, argv):
     # these once raised IndexError, ValueError, FileNotFoundError or (for
-    # --a 1e99999) ZeroDivisionError, exiting 1 as if FAILS, or ran unbounded
-    # (a zero width, or an integer option with no upper limit)
+    # --a 1e99999, --a 1e-30 and --degree 40) ZeroDivisionError, exiting 1
+    # as if FAILS or 3 as a crash, or ran unbounded (a zero width, an integer
+    # option with no upper limit, or --nmax past the generation cap, which
+    # was refused only after generating every size below it)
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -207,6 +216,22 @@ def test_bad_input_exits_two_without_traceback(capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error:" in err
+
+
+# integer options whose work is bounded some other way: the generation cap
+# limits --nmax, and --d beyond the caps generates nothing
+_UNBOUNDED_INT_OK = {("verify", "--d"), ("verify", "--nmax"),
+                     ("polytope", "--d"), ("polytope", "--nmax")}
+
+
+def test_no_unbounded_integer_option():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    plain = {(name, opt)
+             for name, sub in subparsers.choices.items()
+             for action in sub._actions if action.type is int
+             for opt in action.option_strings if opt.startswith("--")}
+    assert plain <= _UNBOUNDED_INT_OK, sorted(plain - _UNBOUNDED_INT_OK)
 
 
 def test_crash_exits_three_with_one_line(monkeypatch, capsys):

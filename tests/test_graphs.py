@@ -24,12 +24,10 @@ from oracles import (
 from regmatch import graphs as graphs_module
 from regmatch.errors import CapacityError, Graph6ParseError, NoGraphsError, RegmatchError
 from regmatch.graphs import (
-    CoverSpec,
     Graph,
     _BudgetExceeded,
     _canonical_order_masks,
     automorphism_count,
-    build_cover,
     canonical_form,
     canonical_key,
     circulant,
@@ -363,13 +361,11 @@ def test_max_matching_random_against_brute():
 
 def test_cover_spec_validation():
     with pytest.raises(RegmatchError):
-        CoverSpec(cycle(4), (0, 2), 3)          # not an edge
+        necklace_cover(cycle(4), (0, 2), 3)     # not an edge
     with pytest.raises(RegmatchError):
-        CoverSpec(cycle(4), (0, 1), 1)          # fold too small
+        necklace_cover(cycle(4), (0, 1), 1)     # fold too small
     with pytest.raises(RegmatchError):
-        CoverSpec(cycle(4), (0, 1), 3, perms={(0, 2): (0, 1, 2)})
-    with pytest.raises(RegmatchError):
-        CoverSpec(cycle(4), (0, 1), 3, perms={(1, 2): (0, 0, 2)})
+        necklace_cover(cycle(4), (4, 5), 3)     # outside the vertex range
 
 
 def test_cover_is_regular_lift():
@@ -403,14 +399,6 @@ def test_diamond_necklace_structure():
         assert dn.regular_degree() == 3
         assert counts.triangles == 2 * k
         assert counts.diamonds == k
-
-
-def test_custom_cover_permutations():
-    # identity on the marked edge gives k disjoint copies
-    base = complete(4)
-    spec = CoverSpec(base, (0, 1), 3, perms={(0, 1): (0, 1, 2)})
-    cov = build_cover(spec)
-    assert sorted(len(c) for c in cov.components()) == [4, 4, 4]
 
 
 # ---------------------------------------------------------------------------

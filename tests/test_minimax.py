@@ -7,7 +7,7 @@ from mpmath import mp, mpf
 import pytest
 
 from regmatch.certified import Verdict
-from regmatch.errors import DomainError
+from regmatch.errors import ConvergenceError, DomainError
 from regmatch.graphs import complete, complete_bipartite, cycle, petersen
 from regmatch.minimax import (
     BASE_CAP,
@@ -53,6 +53,13 @@ def test_remez_domain():
         remez_best_approx(0)
     with pytest.raises(DomainError):
         remez_best_approx("-1")
+    with pytest.raises(DomainError):
+        remez_best_approx("0.2", degree=-3)
+    # a singular reference system is a failure to converge, not a crash
+    with pytest.raises(ConvergenceError):
+        remez_best_approx("1e-30")
+    with pytest.raises(ConvergenceError):
+        remez_best_approx("0.2", degree=40)
 
 
 def test_lambda_interval_roots():

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regmatch.polynomials import (
     Poly,
@@ -96,6 +98,42 @@ def test_root_endpoints_rejected():
     assert count_distinct_real_roots(p, Fraction(3, 2), 3) == 1
     with pytest.raises(ValueError):
         count_distinct_real_roots(p, 1, 3)
+
+
+_RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def _factored(draw):
+    """c * prod (x - r_i)^m_i, perhaps times x^2 + 1, with its real roots."""
+    roots = draw(st.lists(_RATIONALS, min_size=1, max_size=4, unique=True))
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(roots),
+                          max_size=len(roots)))
+    p = Poly.const(draw(_RATIONALS.filter(bool)))
+    for r, m in zip(roots, mults):
+        p = p * (X - r) ** m
+    if draw(st.booleans()):
+        p = p * (X ** 2 + 1)
+    return p, dict(zip(roots, mults))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_factored(), st.one_of(st.none(), _RATIONALS), st.one_of(st.none(), _RATIONALS))
+def test_root_counts_match_known_factorization(case, lo, hi):
+    p, roots = case
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    assert count_distinct_real_roots(p) == len(roots)
+    assert count_real_roots_with_multiplicity(p) == sum(roots.values())
+    if lo in roots or hi in roots:
+        for count in (count_distinct_real_roots, count_real_roots_with_multiplicity):
+            with pytest.raises(ValueError):
+                count(p, lo, hi)
+        return
+    inside = {r: m for r, m in roots.items()
+              if (lo is None or lo < r) and (hi is None or r < hi)}
+    assert count_distinct_real_roots(p, lo, hi) == len(inside)
+    assert count_real_roots_with_multiplicity(p, lo, hi) == sum(inside.values())
 
 
 def test_rational_coefficients_exactness():
