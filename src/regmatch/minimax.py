@@ -18,7 +18,7 @@ from mpmath import mp, mpf
 from .certified import Enclosure, _mpf_to_fraction
 from .errors import ConvergenceError, DomainError
 from .graphs import Graph, count_subgraphs
-from .polynomials import _horner
+from .polynomials import _horner, _poly_mul
 from .series_bounds import InequalityReport, verify_inequality
 
 DEFAULT_LADDER = ("0.2", "0.5", "0.9", "1.4", "1.8", "2.3", "2.6", "2.8", "2.87")
@@ -26,7 +26,6 @@ BASE_CAP = Fraction(1, 144)       # (0, 1/(4d)^2) for d = 3 from the general the
 COVER_TARGET = "0.3575"
 _DPS = 40
 _MAX_EXCHANGES = 60
-_EXTREMA_SAMPLES = 1024     # grid on which sign changes of e'(x) are sought
 
 
 @dataclass(frozen=True)
@@ -69,40 +68,48 @@ def _solve_reference_system(refs, degree):
     return [sol[j] for j in range(degree + 1)], sol[degree + 1]
 
 
-def _error_extrema(coeffs, A, degree):
+def _sign_change_roots(coeffs, lo, hi):
+    """Ascending roots in (lo, hi) at which the polynomial changes sign.
+    They are sought between the derivative's sign changes, found the same
+    way: the polynomial is monotone there, so each piece holds at most one."""
+    if len(coeffs) < 2:
+        return []
+    dcoeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
+    ends = [lo] + _sign_change_roots(dcoeffs, lo, hi) + [hi]
+    tiny = (hi - lo) * mpf(2) ** (8 - mp.prec)
+    roots = []
+    for a, b in zip(ends, ends[1:]):
+        fa = _horner(coeffs, a)
+        if fa * _horner(coeffs, b) >= 0:
+            continue
+        # safeguarded Newton: bisect whenever a step leaves the bracket
+        x = (a + b) / 2
+        for _ in range(mp.prec):
+            fx = _horner(coeffs, x)
+            if fx == 0:
+                break
+            if (fx < 0) == (fa < 0):
+                a = x
+            else:
+                b = x
+            dfx = _horner(dcoeffs, x)
+            prev, x = x, x - fx / dfx if dfx else x
+            if not a < x < b:
+                x = (a + b) / 2
+            if abs(x - prev) <= tiny:
+                break
+        roots.append(x)
+    return roots
+
+
+def _error_extrema(coeffs, A):
     """Extremum candidates of e(x) = ln(1+x) - P(x) on [0, A]: both
-    endpoints plus the sign changes of e'(x) = 1/(1+x) - P'(x)."""
-    dcoeffs = [j * coeffs[j] for j in range(1, degree + 1)]
-
-    def deriv(x):
-        return 1 / (1 + x) - _horner(dcoeffs, x)
-
-    points = [mpf(0)]
-    step = A / _EXTREMA_SAMPLES
-    prev_x, prev_s = mpf(0), deriv(mpf(0))
-    for i in range(1, _EXTREMA_SAMPLES + 1):
-        x = A * i / _EXTREMA_SAMPLES
-        s = deriv(x)
-        if s == 0:
-            points.append(x)
-        elif prev_s != 0 and mpmath.sign(s) != mpmath.sign(prev_s):
-            lo, hi = prev_x, x
-            flo = prev_s
-            for _ in range(200):
-                mid = (lo + hi) / 2
-                fm = deriv(mid)
-                if fm == 0:
-                    break
-                if mpmath.sign(fm) == mpmath.sign(flo):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-                if hi - lo < step * mpf(10) ** (-30):
-                    break
-            points.append((lo + hi) / 2)
-        prev_x, prev_s = x, s
-    points.append(A)
-    return points
+    endpoints plus the sign changes of e'(x) = q(x)/(1+x), where
+    q(x) = 1 - (1+x)P'(x) has the degree of P."""
+    dp = [j * coeffs[j] for j in range(1, len(coeffs))]
+    q = [-r for r in _poly_mul([1, 1], dp)]
+    q[0] += 1
+    return [mpf(0)] + _sign_change_roots(q, mpf(0), A) + [A]
 
 
 def _select_alternating(points, errs, m):
@@ -131,7 +138,9 @@ def remez_best_approx(A, degree: int = 4, dps: int = _DPS) -> RemezResult:
     """Deterministic minimax fit of ln(1+x) on [0, A].
 
     Convergence: the solved equioscillation level agrees with the measured
-    maximum deviation to a relative tolerance of 10^(10 - dps).
+    maximum deviation to a relative tolerance of 10^(10 - dps), or to within
+    10^(2 - dps) ln(1 + A), a hundred times the rounding noise left by the
+    cancellation in ln(1+x) - P(x), whichever is looser.
     """
     if degree < 1:
         raise DomainError("need degree >= 1")
@@ -140,18 +149,19 @@ def remez_best_approx(A, degree: int = 4, dps: int = _DPS) -> RemezResult:
         if A <= 0:
             raise DomainError("need A > 0")
         tol = mpf(10) ** (-dps + 10)
+        floor = mpf(10) ** (2 - dps) * mpmath.log(1 + A)
         m = degree + 2
         refs = [A / 2 * (1 - mpmath.cos(mpmath.pi * i / (m - 1)))
                 for i in range(m)]
         for it in range(1, _MAX_EXCHANGES + 1):
             coeffs, level = _solve_reference_system(refs, degree)
-            points = _error_extrema(coeffs, A, degree)
+            points = _error_extrema(coeffs, A)
             errs = [mpmath.log(1 + x) - _horner(coeffs, x) for x in points]
             maxdev = max(abs(e) for e in errs)
             selected = _select_alternating(points, errs, m)
             if selected is None:
                 raise ConvergenceError("equioscillation structure lost")
-            if maxdev - abs(level) <= tol * maxdev:
+            if maxdev - abs(level) <= max(tol * maxdev, floor):
                 return RemezResult(A, degree, tuple(coeffs), abs(level),
                                    tuple(selected), it, maxdev)
             refs = selected

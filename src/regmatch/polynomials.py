@@ -256,12 +256,15 @@ def _chain_signs_at(chain: Sequence[Poly], x) -> list[int]:
 
 
 def _sturm_count(sf: Poly, lo, hi) -> int:
-    """Distinct real roots of the squarefree nonconstant sf in (lo, hi)."""
+    """Distinct real roots of the squarefree nonconstant sf in (lo, hi);
+    0 when lo >= hi."""
     a = "-inf" if lo is None else Fraction(lo)
     b = "+inf" if hi is None else Fraction(hi)
     for endpoint in (a, b):
         if endpoint not in ("-inf", "+inf") and sf(endpoint) == 0:
             raise ValueError(f"interval endpoint {endpoint} is a root")
+    if lo is not None and hi is not None and a >= b:
+        return 0
     chain = sturm_chain(sf)
     va = _variations(_chain_signs_at(chain, a))
     vb = _variations(_chain_signs_at(chain, b))

@@ -44,7 +44,9 @@ class PathTree:
         return Graph(self.size, [(self.parent[i], i) for i in range(1, self.size)])
 
 
-def build_path_tree(g: Graph, u: int, cap: int = _PATH_TREE_CAP) -> PathTree:
+def build_path_tree(g: Graph, u: int, cap: int = _PATH_TREE_CAP, *,
+                    depth: int | None = None) -> PathTree:
+    """T(G, u), or with `depth` only its paths of at most that many edges."""
     if not 0 <= u < g.n:
         raise DomainError(f"root {u} outside vertex range")
     last = [u]
@@ -55,6 +57,8 @@ def build_path_tree(g: Graph, u: int, cap: int = _PATH_TREE_CAP) -> PathTree:
         node = queue.pop()
         v = last[node]
         mask = masks[node]
+        if depth is not None and mask.bit_count() > depth:
+            continue
         for w in _bits(g.adj[v] & ~mask):
             idx = len(last)
             if idx >= cap:
@@ -90,10 +94,12 @@ def closed_walks_at_root(tree: PathTree, length: int) -> int:
 
 def tree_like_walk_total(g: Graph, length: int) -> int:
     """Closed tree-like walks of the given even length in G, summed over
-    all starting vertices; equals n * s_length = n * 2 a_{length/2}."""
+    all starting vertices; equals n * s_length = n * 2 a_{length/2}.  Such a
+    walk goes no deeper than length/2, so each tree is cut there."""
     if length < 2 or length % 2:
         raise DomainError("walk length must be even and >= 2")
-    return sum(closed_walks_at_root(build_path_tree(g, u), length)
+    return sum(closed_walks_at_root(build_path_tree(g, u, depth=length // 2),
+                                    length)
                for u in range(g.n))
 
 

@@ -14,7 +14,11 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
+import mpmath
+from mpmath import mpf
+
 from regmatch.graphs import Graph, _BudgetExceeded
+from regmatch.polynomials import _horner
 
 
 # ---------------------------------------------------------------------------
@@ -354,3 +358,48 @@ def reference_canonical_order_masks(n: int, adj: Sequence[int],
 
     dfs([], [0] * n)
     return state["order"], state["aut"]
+
+
+# ---------------------------------------------------------------------------
+# Remez extrema, by a sign scan of e' on a grid
+
+def reference_error_extrema(coeffs, A) -> list:
+    """Extremum candidates of e(x) = ln(1+x) - P(x) on [0, A]: both
+    endpoints plus the sign changes of e'(x) = 1/(1+x) - P'(x) seen on a
+    grid of 1,024 cells, each bisected to 1e-30 of a cell.
+
+    The grid scan that minimax._error_extrema replaced; it misses any two
+    sign changes that fall in one cell.  Call under the working mp precision.
+    """
+    samples = 1024
+    dcoeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
+
+    def deriv(x):
+        return 1 / (1 + x) - _horner(dcoeffs, x)
+
+    points = [mpf(0)]
+    step = A / samples
+    prev_x, prev_s = mpf(0), deriv(mpf(0))
+    for i in range(1, samples + 1):
+        x = A * i / samples
+        s = deriv(x)
+        if s == 0:
+            points.append(x)
+        elif prev_s != 0 and mpmath.sign(s) != mpmath.sign(prev_s):
+            lo, hi = prev_x, x
+            flo = prev_s
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                fm = deriv(mid)
+                if fm == 0:
+                    break
+                if mpmath.sign(fm) == mpmath.sign(flo):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+                if hi - lo < step * mpf(10) ** (-30):
+                    break
+            points.append((lo + hi) / 2)
+        prev_x, prev_s = x, s
+    points.append(A)
+    return points

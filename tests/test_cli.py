@@ -278,6 +278,28 @@ def test_remez_output(capsys):
     assert "lam_min" in out and "lam_max" in out
 
 
+# sha256 of the sorted-key JSON report without wall_clock_seconds, as
+# perfbench digests it; any change to a printed digit or an iteration
+# count shows here
+_GOLDEN_REPORTS = {
+    ("ladder",): "9a89c10fe40fcb5dfc4d586e9b32d78797dfee1993440d20995a992e237ce32e",
+    ("remez", "--a", "0.2"): "09ada950851bd4620bbee253fed5356777da1dbae2e23a6e82ab42270bf4a201",
+    ("remez", "--a", "0.9"): "d03cff47ea859416ebd1842076ec84dad438ed6b18ce1c1da155b3f4aeee1724",
+    ("remez", "--a", "0.2", "--degree", "5"):
+        "38822af91424f019a0248d3df6f2eb326f7f7aa7b820f3750b7f15e17304fce0",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_GOLDEN_REPORTS), ids=" ".join)
+def test_report_matches_golden_digest(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    report.pop("wall_clock_seconds")
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_REPORTS[argv]
+
+
 def test_cd_table(capsys):
     code, out, err = run(capsys, "cd", "--dmax", "9")
     assert code == 0

@@ -1,11 +1,14 @@
 """Remez minimax fits, admissible intervals, ladder coverage, cubic check."""
 
 from fractions import Fraction
+from functools import lru_cache
 
+from hypothesis import given, settings, strategies as st
 import mpmath
 from mpmath import mp, mpf
 import pytest
 
+from oracles import reference_error_extrema
 from regmatch.certified import Verdict
 from regmatch.errors import ConvergenceError, DomainError
 from regmatch.graphs import complete, complete_bipartite, cycle, petersen
@@ -14,6 +17,7 @@ from regmatch.minimax import (
     DEFAULT_LADDER,
     cubic_theorem_check,
     ladder_verify,
+    _error_extrema,
     lambda_interval,
     remez_best_approx,
 )
@@ -40,6 +44,51 @@ def test_remez_equioscillates():
         for i in range(501):
             x = res.A * i / 500
             assert abs(res.error_at(x)) <= res.epsilon * (1 + mpf(10) ** -20)
+
+
+def test_remez_degree_eight_equioscillates():
+    res = remez_best_approx("0.2", degree=8)
+    assert len(res.refs) == 10
+    with mp.workdps(40):
+        assert mpf(0) <= res.refs[0] < res.refs[-1] <= res.A
+        assert all(a < b for a, b in zip(res.refs, res.refs[1:]))
+        errs = [res.error_at(x) for x in res.refs]
+        # ln(1+x) - P(x) ~ 2e-13 keeps about 27 of the 40 digits
+        for e in errs:
+            assert abs(abs(e) - res.epsilon) <= mpf(10) ** -25 * res.epsilon
+        for a, b in zip(errs, errs[1:]):
+            assert mpmath.sign(a) == -mpmath.sign(b)
+        assert res.max_deviation - res.epsilon <= mpf(10) ** -25 * res.epsilon
+        for i in range(501):
+            x = res.A * i / 500
+            assert abs(res.error_at(x)) <= res.epsilon * (1 + mpf(10) ** -20)
+
+
+@lru_cache(maxsize=None)
+def _fit(a, degree):
+    return remez_best_approx(a, degree=degree)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["0.05", "0.2", "0.9", "2.87"]), st.integers(4, 7),
+       st.sampled_from([0, 1e-6, 1e-2, 1]),
+       st.lists(st.floats(-1, 1), min_size=11, max_size=11))
+def test_error_extrema_match_grid_scan(a, degree, scale, shifts):
+    """On minimax polynomials with coefficient k moved by up to
+    scale * eps / A^k, every sign change of e' that the grid scan finds is
+    one of the exact extrema."""
+    res = _fit(a, degree)
+    with mp.workdps(40):
+        A = res.A
+        coeffs = [c + mpf(scale) * mpf(t) * res.epsilon / A ** k
+                  for k, (c, t) in enumerate(zip(res.coeffs, shifts))]
+        exact = _error_extrema(coeffs, A)
+        scan = reference_error_extrema(coeffs, A)
+        assert exact[0] == 0 and exact[-1] == A
+        assert all(x < y for x, y in zip(exact, exact[1:]))
+        assert len(exact) >= len(scan)
+        for x in scan[1:-1]:
+            assert min(abs(x - y) for y in exact) <= mpf(10) ** -25 * A
 
 
 def test_remez_level_value():

@@ -44,6 +44,20 @@ def test_path_tree_cap():
         build_path_tree(petersen(), 0, cap=10)
 
 
+def test_cut_path_tree_keeps_short_closed_walks():
+    for g in SMALL:
+        for root in range(g.n):
+            full = build_path_tree(g, root)
+            for k in range(5):
+                cut = build_path_tree(g, root, depth=k)
+                assert cut.size <= full.size
+                for length in range(2 * k + 1):
+                    assert closed_walks_at_root(cut, length) == \
+                        closed_walks_at_root(full, length)
+    assert build_path_tree(petersen(), 0, depth=0).size == 1
+    assert build_path_tree(petersen(), 0, depth=1).size == 4
+
+
 def test_closed_walks_match_matrix_power():
     for g in SMALL[:4]:
         for root in range(g.n):
