@@ -402,15 +402,16 @@ def _cmd_ladder(args) -> int:
     cmd.say(f"{'A':>6} {'epsilon':>14} {'lam_min':>14} {'lam_max':>14} connects")
     for row in report.rows:
         iv = row.interval
+        lam_min, lam_max = (None, None) if iv is None else (iv.lam_min, iv.lam_max)
+        lo, hi = ("-" if x is None else mpmath.nstr(x, 10) for x in (lam_min, lam_max))
         cmd.say(f"{mpmath.nstr(row.A, 4):>6} {mpmath.nstr(row.result.epsilon, 8):>14}"
-                f" {mpmath.nstr(iv.lam_min, 10):>14} {mpmath.nstr(iv.lam_max, 10):>14}"
-                f" {'yes' if row.connects else 'NO'}")
+                f" {lo:>14} {hi:>14} {'yes' if row.connects else 'NO'}")
         verdict = Verdict.HOLDS if row.connects else Verdict.FAILS
         cmd.add({
             "A": row.A,
             "epsilon": row.result.epsilon,
-            "lam_min": iv.lam_min,
-            "lam_max": iv.lam_max,
+            "lam_min": lam_min,
+            "lam_max": lam_max,
             "connects": row.connects,
             "verdict": verdict,
         }, verdict)

@@ -238,30 +238,22 @@ def parse_graph6_lines(text: str) -> list[Graph]:
 # decreasing key order; the top cell is the tie set.  Placing u splits each
 # cell into neighbors of u (key << 1 | 1) and the rest (key << 1), in order.
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-def _canonical_order_masks(n: int, adj: Sequence[int],
-                           budget: int | None = None) -> tuple[tuple[int, ...], int]:
+def _canonical_order_masks(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Return (canonical order, automorphism count) for adjacency masks."""
     if n == 0:
         return (), 1
     best_levels = [-1] * n
     placed = []
-    order, aut, nodes = None, 0, 0
+    order, aut = None, 0
 
     def dfs(cells: list[tuple[int, int]]) -> None:
-        nonlocal order, aut, nodes
+        nonlocal order, aut
         k = len(placed)
         if k == n:
             if order is None:
                 order = tuple(placed)
             aut += 1
             return
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise _BudgetExceeded
         cur, top = cells[0]
         rec = best_levels[k]
         if cur < rec:

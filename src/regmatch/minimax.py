@@ -227,7 +227,7 @@ def lambda_interval(res: RemezResult, dps: int = _DPS) -> LambdaInterval:
 class LadderRow:
     A: mpf
     result: RemezResult
-    interval: LambdaInterval
+    interval: LambdaInterval | None  # None: the fit's error admits no interval
     connects: bool       # lam_min < previous frontier
 
 
@@ -249,7 +249,8 @@ def ladder_verify(ladder=DEFAULT_LADDER, base_cap: Fraction = BASE_CAP,
                   dps: int = _DPS) -> LadderReport:
     """Chain the base interval (0, base_cap) with the ladder's usable
     intervals (lam_min, min(A/8, lam_max)) and report coverage of
-    (0, target]."""
+    (0, target].  A rung whose fit admits no interval does not connect and
+    leaves the frontier where it was."""
     if not ladder:
         raise DomainError("empty ladder")
     with mp.workdps(dps):
@@ -259,7 +260,11 @@ def ladder_verify(ladder=DEFAULT_LADDER, base_cap: Fraction = BASE_CAP,
         gaps = []
         for a in ladder:
             res = remez_best_approx(a, degree=degree, dps=dps)
-            itv = lambda_interval(res, dps=dps)
+            try:
+                itv = lambda_interval(res, dps=dps)
+            except DomainError:
+                rows.append(LadderRow(res.A, res, None, False))
+                continue
             lo, hi = itv.usable
             connects = lo < frontier
             if not connects and lo < target:

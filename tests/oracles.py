@@ -17,8 +17,8 @@ from typing import Sequence
 import mpmath
 from mpmath import mpf
 
-from regmatch.graphs import Graph, _BudgetExceeded
-from regmatch.polynomials import _horner
+from regmatch.graphs import Graph, _bits, _components, _induced_masks
+from regmatch.polynomials import _horner, _poly_mul
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +41,47 @@ def brute_matching_counts(g: Graph) -> tuple[int, ...]:
     while counts and counts[-1] == 0:
         counts.pop()
     return tuple(counts)
+
+
+def reference_matching_counts(g: Graph) -> tuple[int, ...]:
+    """m_k by the vertex deletion recursion
+
+        M(G) = M(G - u) + x * sum_{v ~ u} M(G - u - v)
+
+    at a maximum-degree pivot, multiplied over connected components.  This
+    is the recursion that matchpoly ran before its frontier DP, without the
+    canonical-form memo: subgraphs are memoized within one call on their
+    labeled adjacency masks, which keeps necklace covers of 60 vertices
+    fast."""
+    memo: dict[tuple[int, ...], list[int]] = {}
+
+    def product(masks: tuple[int, ...]) -> list[int]:
+        result = [1]
+        for comp in _components(masks):
+            result = _poly_mul(result, connected(_induced_masks(masks, comp)))
+        return result
+
+    def connected(masks: tuple[int, ...]) -> list[int]:
+        n = len(masks)
+        if n <= 2:
+            return [1, 1] if n == 2 else [1]
+        hit = memo.get(masks)
+        if hit is not None:
+            return hit
+        pivot = max(range(n), key=lambda v: masks[v].bit_count())
+        rest = [v for v in range(n) if v != pivot]
+        coeffs = product(_induced_masks(masks, rest)) + [0]
+        for w in _bits(masks[pivot]):
+            sub = product(_induced_masks(masks, [v for v in rest if v != w]))
+            coeffs += [0] * (len(sub) + 1 - len(coeffs))
+            for i, c in enumerate(sub):
+                coeffs[i + 1] += c
+        while coeffs[-1] == 0:
+            coeffs.pop()
+        memo[masks] = coeffs
+        return coeffs
+
+    return tuple(product(g.adj))
 
 
 def brute_max_matching(g: Graph) -> int:
@@ -314,18 +355,17 @@ def all_graphs_upto(nmax: int) -> dict[int, list[Graph]]:
 # ---------------------------------------------------------------------------
 # Canonical search, as a per-node rescan of every vertex's key
 
-def reference_canonical_order_masks(n: int, adj: Sequence[int],
-                                    budget: int | None = None) -> tuple[tuple[int, ...], int]:
+def reference_canonical_order_masks(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Return (canonical order, automorphism count) for adjacency masks.
 
     The list-based search that predates the cell layout in
     graphs._canonical_order_masks: every node rebuilds all n keys and scans
-    them for the maximum.  Same tree, same node count, same budget error.
+    them for the maximum.  Same tree, same order, same automorphism count.
     """
     if n == 0:
         return (), 1
     best_levels = [-1] * n
-    state = {"order": None, "aut": 0, "nodes": 0}
+    state = {"order": None, "aut": 0}
 
     def dfs(placed: list[int], keys: list[int]) -> None:
         k = len(placed)
@@ -334,9 +374,6 @@ def reference_canonical_order_masks(n: int, adj: Sequence[int],
                 state["order"] = tuple(placed)
             state["aut"] += 1
             return
-        state["nodes"] += 1
-        if budget is not None and state["nodes"] > budget:
-            raise _BudgetExceeded
         cur = max(keys[u] for u in range(n) if keys[u] >= 0)
         rec = best_levels[k]
         if cur < rec:

@@ -9,6 +9,8 @@ import re
 import pytest
 
 from regmatch.cli import build_parser, main
+from regmatch.graphs import complete, encode_graph6
+from regmatch.matchpoly import _MAX_FRONTIER_WIDTH
 
 
 def run(capsys, *argv):
@@ -201,13 +203,18 @@ def test_verify_rejects_nonpositive_step_and_precision(capsys, argv):
     ["ak-table", "--d", "500"],
     ["verify", "--d", "3", "--nmax", "100000"],
     ["polytope", "--d", "4", "--nmax", "12"],
+    ["poly"],
 ])
-def test_bad_input_exits_two_without_traceback(capsys, argv):
+def test_bad_input_exits_two_without_traceback(monkeypatch, capsys, argv):
     # these once raised IndexError, ValueError, FileNotFoundError or (for
     # --a 1e99999, --a 1e-30 and --degree 40) ZeroDivisionError, exiting 1
     # as if FAILS or 3 as a crash, or ran unbounded (a zero width, an integer
     # option with no upper limit, or --nmax past the generation cap, which
     # was refused only after generating every size below it)
+    # `poly` reads K_{cap+2} from stdin, whose frontier width is past the
+    # matching-polynomial DP's cap
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        encode_graph6(complete(_MAX_FRONTIER_WIDTH + 2)) + "\n"))
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -262,6 +269,20 @@ def test_ladder_gap_from_config(tmp_path, capsys):
     assert "NOT COVERED" in out
 
 
+def test_ladder_rung_without_interval_fails(tmp_path, capsys):
+    # at degree 5 the fits from A = 2.6 up have no lambda interval; those
+    # rungs report FAILS with null bounds instead of aborting the ladder
+    path = tmp_path / "ladder.json"
+    code, out, err = run(capsys, "ladder", "--degree", "5", "--out", str(path))
+    assert code == 1
+    assert "NOT COVERED" in out
+    items = json.loads(path.read_text())["items"]
+    failed = [it["A"] for it in items if it["verdict"] == "FAILS"]
+    assert failed == ["2.6", "2.8", "2.87"]
+    for it in items:
+        assert (it["lam_min"] is None) == (it["lam_max"] is None) == (it["A"] in failed)
+
+
 def test_ladder_config_rejects_non_decimal(tmp_path, capsys):
     config = tmp_path / "ladder.txt"
     config.write_text("0.2\nabc  # not a decimal\n")
@@ -287,6 +308,18 @@ _GOLDEN_REPORTS = {
     ("remez", "--a", "0.9"): "d03cff47ea859416ebd1842076ec84dad438ed6b18ce1c1da155b3f4aeee1724",
     ("remez", "--a", "0.2", "--degree", "5"):
         "38822af91424f019a0248d3df6f2eb326f7f7aa7b820f3750b7f15e17304fce0",
+    ("necklace", "--builtin", "petersen", "--kmax", "12"):
+        "9a8c4b95467fe1a3305568944ad9a21b59b070f1647ff71ab2ba7aec6dd44d1f",
+    ("necklace", "--builtin", "prism"):
+        "134a8a66e3e2abee079ae7f1ffa9913667d7b4326ec6f6c75df8bf69a8eb32cf",
+    ("necklace", "--builtin", "diamond", "--edge", "0,2"):
+        "a7c1f3b60e16f25f593ec1251e65441ece828af73a7ba510b06852e25be84982",
+    ("ak-table", "--d", "3", "--kmax", "10"):
+        "a5f8d978b3aee1ac07eb227752d35459c76f936613809916a3e705f38619d695",
+    ("verify", "--d", "3", "--nmax", "8"):
+        "20c226feddcdaaf9569121cf6089a89941c3dcbf5fe43cca880e2a66c311bbfb",
+    ("polytope", "--d", "4", "--nmax", "8"):
+        "4ed4ba17e824657aad32609cfeaf287208fdac86de3ce7ee97730ba105d1bc29",
 }
 
 

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_matching_counts, complete_matching_count
+from oracles import (brute_matching_counts, complete_matching_count,
+                     reference_matching_counts)
 from regmatch import matchpoly
+from regmatch.cli import _BUILTIN_GRAPHS
 from regmatch.graphs import (
     Graph,
     complete,
@@ -18,6 +20,7 @@ from regmatch.graphs import (
     cycle,
     diamond_necklace,
     disjoint_union,
+    necklace_cover,
     path_graph,
     petersen,
 )
@@ -66,14 +69,16 @@ def test_component_multiplicativity():
 
 
 def test_complete_graph_formula():
-    for n in range(13):
-        got = matching_counts(complete(n)) if n else (1,)
+    # up to the DP's width cap: K_n has frontier width n - 1
+    for n in range(matchpoly._MAX_FRONTIER_WIDTH + 2):
+        got = matching_counts(complete(n))
+        assert len(got) == n // 2 + 1
         for r, coeff in enumerate(got):
             assert coeff == complete_matching_count(n, r)
 
 
 def test_q_complete_matches_direct():
-    for n in range(11):
+    for n in range(15):
         assert q_complete(n) == matching_gen_poly(complete(n))
     # recursion q_n = q_{n-1} + (n-1) x q_{n-2}
     x = Poly.x()
@@ -142,18 +147,6 @@ def test_diamond_necklace_partition_at_one():
         assert gen_poly_value(diamond_necklace(k), 1) == 10 ** k
 
 
-def test_memo_fallback_labeled_keys(monkeypatch):
-    """With a zero canonical budget the labeled-key fallback must give the
-    same polynomials."""
-    monkeypatch.setattr(matchpoly, "_CANON_NODE_BUDGET", 0)
-    matchpoly.clear_cache()
-    try:
-        assert matching_counts(petersen()) == (1, 15, 75, 145, 90, 6)
-        assert matching_counts(complete_bipartite(3, 3)) == (1, 9, 18, 6)
-    finally:
-        matchpoly.clear_cache()
-
-
 def test_bipartite_matchings_are_permanent_counts():
     # m_k(K_{a,b}) = C(a,k) C(b,k) k!
     from math import comb, factorial
@@ -187,21 +180,20 @@ def test_matching_counts_match_brute_force_and_relabeling(case):
     assert matching_counts(g.relabel(perm)) == counts
 
 
-def test_repeat_evaluation_skips_canonical_search(monkeypatch):
+def test_repeat_evaluation_runs_the_dp_once(monkeypatch):
     """A Graph keeps its matching counts: only its first evaluation runs the
-    deletion recursion and with it the canonical search."""
+    frontier DP."""
     calls = []
-    search = matchpoly._canonical_order_masks
+    dp = matchpoly._frontier_counts
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return search(*args, **kwargs)
+    def counting(adj):
+        calls.append(adj)
+        return dp(adj)
 
-    monkeypatch.setattr(matchpoly, "_canonical_order_masks", counting)
-    matchpoly.clear_cache()
+    monkeypatch.setattr(matchpoly, "_frontier_counts", counting)
     g = petersen()
     assert gen_poly_value(g, Fraction(1, 4)) == matching_gen_poly(petersen())(Fraction(1, 4))
-    assert calls
+    assert len(calls) == 2
     calls.clear()
     for lam in (Fraction(1, 7), Fraction(3, 2), 0, 1):
         gen_poly_value(g, lam)
@@ -210,3 +202,24 @@ def test_repeat_evaluation_skips_canonical_search(monkeypatch):
     negative_lambda_sandwich(g, 3, Fraction(-1, 8))
     matching_counts(g), matching_gen_poly(g), matching_poly_mu(g)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The frontier DP against the deletion recursion
+
+def test_dp_matches_deletion_recursion_on_regular_corpora(
+        cubic12, quartic_by_n, fivereg_by_n):
+    graphs = [g for n in sorted(cubic12) for g in cubic12[n]]
+    graphs += [g for n in sorted(quartic_by_n) for g in quartic_by_n[n]]
+    graphs += fivereg_by_n[8]
+    assert len(graphs) == (1 + 2 + 5 + 19 + 85) + (1 + 1 + 2 + 6 + 16) + 3
+    for g in graphs:
+        assert matchpoly._frontier_counts(g.adj) == reference_matching_counts(g)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTIN_GRAPHS))
+def test_dp_matches_deletion_recursion_on_necklace_covers(name):
+    base = _BUILTIN_GRAPHS[name]()
+    for k in range(2, 7):
+        cover = necklace_cover(base, base.edges[0], k)
+        assert matchpoly._frontier_counts(cover.adj) == reference_matching_counts(cover)
