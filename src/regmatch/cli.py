@@ -41,7 +41,7 @@ from .graphs import (
     petersen,
     prism,
 )
-from .matchpoly import matching_counts, matching_gen_poly
+from .matchpoly import matching_counts, matching_gen_poly, q_complete
 from .minimax import (
     BASE_CAP,
     COVER_TARGET,
@@ -54,7 +54,7 @@ from .minimax import (
 from .necklace import critical_constant, discriminant, necklace_partition_via_trace, transfer_matrix
 from .polytope import edmonds_check, even_d_threshold, matching_lower_bound_check
 from .series_bounds import verify_inequality
-from .walks import graph_power_sums, infinite_tree_power_sums
+from .walks import graph_power_sums, infinite_tree_power_sums, power_sums_newton
 
 _BUILTIN_GRAPHS = {
     "k2": lambda: complete(2),
@@ -308,7 +308,7 @@ def _cmd_poly(args) -> int:
 
 def _ak_rows(d: int, kmax: int):
     rows = [
-        (f"K{d + 1}", graph_power_sums(complete(d + 1), kmax)),
+        (f"K{d + 1}", power_sums_newton(q_complete(d + 1), d + 1, kmax)),
         (f"T{d}", infinite_tree_power_sums(d, kmax)),
     ]
     if d == 3:

@@ -13,7 +13,7 @@ import mpmath
 
 from .errors import CapacityError, DomainError
 from .graphs import Graph, complete, isomorphic, max_matching
-from .matchpoly import gen_poly_value
+from .matchpoly import q_complete
 
 _EXHAUSTIVE_CAP = 16
 
@@ -191,5 +191,5 @@ def even_d_threshold(d: int) -> ThresholdReport:
     units = (d + 1) * (d + 3)
     gap = Fraction(d + 2, 2 * (d + 3)) - Fraction(d, 2 * (d + 1))
     assert gap == Fraction(1, (d + 1) * (d + 3))
-    value_at_one = gen_poly_value(complete(d + 1), 1)
+    value_at_one = Fraction(q_complete(d + 1)(1))
     return ThresholdReport(d, units, gap, value_at_one, (d + 1) ** (d + 1))

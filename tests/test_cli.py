@@ -84,6 +84,14 @@ def test_ak_table_degree_four_rows_agree_to_k2(capsys):
     assert rows[0] == rows[1] == ["4", "28"]
 
 
+def test_ak_table_top_degree(capsys):
+    # K_25 is past the matching DP's width cap; the row uses the closed form
+    code, out, err = run(capsys, "ak-table", "--d", "24", "--kmax", "2")
+    assert code == 0
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[1:]}
+    assert rows["K25"] == rows["T24"] == ["24", str(24 * 47)]
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -383,6 +391,12 @@ def test_polytope_complete_graph_fails(capsys):
                          "--include-complete")
     assert code == 1
     assert "FAILS" in out
+
+
+def test_polytope_threshold_past_the_dp_width(capsys):
+    code, out, err = run(capsys, "polytope", "--d", "18", "--nmax", "10")
+    assert code == 0
+    assert "T(18) = 399 ln(19)" in out
 
 
 def test_version_flag(capsys):

@@ -106,6 +106,14 @@ def test_threshold_report_d4():
     assert abs(at_threshold) < mpmath.mpf("1e-10")
 
 
+def test_threshold_report_past_the_dp_width():
+    # K_19 is wider than the matching DP accepts; the threshold reads the
+    # closed form, M(K_19, 1) = 4809701440 (the 19th telephone number)
+    rep = even_d_threshold(18)
+    assert rep.units == 19 * 21
+    assert rep.partition_at_one == 4809701440
+
+
 def test_threshold_report_d2():
     rep = even_d_threshold(2)
     assert rep.units == 15
