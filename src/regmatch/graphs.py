@@ -238,6 +238,22 @@ def parse_graph6_lines(text: str) -> list[Graph]:
 # decreasing key order; the top cell is the tie set.  Placing u splits each
 # cell into neighbors of u (key << 1 | 1) and the rest (key << 1), in order.
 
+def _place(cells: list[tuple[int, int]], u: int,
+           adj: Sequence[int]) -> list[tuple[int, int]]:
+    """The cells of the child node that places u."""
+    on = adj[u]
+    off = ~(on | 1 << u)
+    nxt = []
+    for key, m in cells:
+        hi = m & on
+        if hi:
+            nxt.append((key << 1 | 1, hi))
+        lo = m & off
+        if lo:
+            nxt.append((key << 1, lo))
+    return nxt
+
+
 def _canonical_order_masks(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Return (canonical order, automorphism count) for adjacency masks."""
     if n == 0:
@@ -268,18 +284,8 @@ def _canonical_order_masks(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...],
             low = top & -top
             top ^= low
             u = low.bit_length() - 1
-            on = adj[u]
-            off = ~(on | low)
-            nxt = []
-            for key, m in cells:
-                hi = m & on
-                if hi:
-                    nxt.append((key << 1 | 1, hi))
-                lo = m & off
-                if lo:
-                    nxt.append((key << 1, lo))
             placed.append(u)
-            dfs(nxt)
+            dfs(_place(cells, u, adj))
             placed.pop()
 
     dfs([(0, (1 << n) - 1)])
@@ -573,17 +579,47 @@ def diamond_necklace(k: int) -> Graph:
 # ---------------------------------------------------------------------------
 # Connected regular corpus generation
 #
-# Search over discovery-ordered labelings: vertex 0's neighborhood is
-# {1..d}; vertices are completed in index order and fresh vertices are
-# always taken as the next consecutive block of indices.  Every connected
-# d-regular graph admits such a labeling, so the search is exhaustive;
-# duplicates are removed by canonical form.
+# Orderly generation (R. C. Read, "Every one a winner", 1978; M. Meringer,
+# "Fast generation of regular graphs", 1999) over discovery-ordered
+# labelings: vertex 0's neighborhood is {1..d}; vertices are completed in
+# index order and fresh vertices are always taken as the next consecutive
+# block of indices.  The canonical labeling of a connected graph is such a
+# labeling (each level of the canonical search prefers a neighbor of the
+# earliest placed vertex that still has unplaced neighbors), so the search
+# reaches every class.  The canonical form is hereditary: the first
+# k(k-1)/2 bits of a column-major vector are the vector of the subgraph
+# induced on positions 0..k-1, so every leading induced subgraph of a
+# canonical labeling is itself canonical.  Once positions 0..k-1 are fixed
+# the search therefore keeps a branch only if their identity labeling is
+# canonical, and each class comes out exactly once, canonically labeled.
 
 _GENERATION_CAPS = {1: 2, 2: 24, 3: 14, 4: 11, 5: 10, 6: 9, 7: 8}
 
 
 def generation_cap(d: int) -> int | None:
     return _GENERATION_CAPS.get(d)
+
+
+def _prefix_is_canonical(k: int, adj: Sequence[int], cols: Sequence[int]) -> bool:
+    """True if no labeling of the subgraph induced on positions 0..k-1 has a
+    larger column-major vector than the identity, whose level-j key is
+    cols[j].  The cell search prunes a branch as soon as its key falls below
+    the identity's and stops as soon as one rises above it."""
+
+    def dfs(cells: list[tuple[int, int]], level: int) -> bool:
+        if level == k:
+            return True
+        cur, top = cells[0]
+        if cur != cols[level]:
+            return cur < cols[level]
+        while top:
+            low = top & -top
+            top ^= low
+            if not dfs(_place(cells, low.bit_length() - 1, adj), level + 1):
+                return False
+        return True
+
+    return dfs([(0, (1 << k) - 1)], 0)
 
 
 def generate_connected_regular(n: int, d: int) -> list[Graph]:
@@ -607,13 +643,17 @@ def generate_connected_regular(n: int, d: int) -> list[Graph]:
 
     adj = [0] * n
     deg = [0] * n
-    found: dict[str, Graph] = {}
+    cols = [0] * n  # cols[w]: w's adjacency to positions 0..w-1, row 0 highest
+    found: list[Graph] = []
 
     def complete_vertex(v: int, intro: int) -> None:
-        if v == n:
+        if v == n:  # the whole graph was fixed, and tested, at v = n - 1
             g = Graph(n, [(i, j) for i in range(n) for j in _bits(adj[i]) if j > i])
-            h = canonical_form(g)
-            found.setdefault(h._canon, h)
+            object.__setattr__(g, "_canon", encode_graph6(g))
+            found.append(g)
+            return
+        # vertices 0..v-1 are complete, so positions 0..min(v+1, intro)-1 are fixed
+        if not _prefix_is_canonical(min(v + 1, intro), adj, cols):
             return
         if deg[v] == 0 and v > 0:
             return  # vertices 0..v-1 are saturated: closed component
@@ -632,14 +672,16 @@ def generate_connected_regular(n: int, d: int) -> list[Graph]:
                 for w in ws:
                     adj[v] |= 1 << w
                     adj[w] |= 1 << v
+                    cols[w] |= 1 << (w - 1 - v)
                     deg[w] += 1
                 deg[v] = d
                 complete_vertex(v + 1, intro + j)
                 for w in ws:
                     adj[v] &= ~(1 << w)
                     adj[w] &= ~(1 << v)
+                    cols[w] &= ~(1 << (w - 1 - v))
                     deg[w] -= 1
                 deg[v] = d - need
 
     complete_vertex(0, 1)
-    return [found[key] for key in sorted(found)]
+    return sorted(found, key=canonical_key)

@@ -11,13 +11,23 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial
 from typing import Sequence
 
 import mpmath
 from mpmath import mpf
 
-from regmatch.graphs import Graph, _bits, _components, _induced_masks
+from regmatch.errors import CapacityError, NoGraphsError
+from regmatch.graphs import (
+    _GENERATION_CAPS,
+    Graph,
+    _bits,
+    _components,
+    _induced_masks,
+    canonical_form,
+    complete,
+)
 from regmatch.polynomials import _horner, _poly_mul
 
 
@@ -395,6 +405,74 @@ def reference_canonical_order_masks(n: int, adj: Sequence[int]) -> tuple[tuple[i
 
     dfs([], [0] * n)
     return state["order"], state["aut"]
+
+
+# ---------------------------------------------------------------------------
+# Regular-graph generation, by canonicalizing every labeled leaf
+
+# The generator that graphs.generate_connected_regular's orderly search
+# replaced: it builds every discovery-ordered labeling (vertex 0's
+# neighborhood is {1..d}; vertices are completed in index order and fresh
+# vertices are taken as the next consecutive block of indices) and removes
+# duplicates by canonical form.
+
+def reference_generate_connected_regular(n: int, d: int) -> list[Graph]:
+    """All connected d-regular graphs on n vertices, up to isomorphism,
+    canonically labeled and sorted by canonical key."""
+    if n < 1:
+        raise NoGraphsError("need n >= 1")
+    if n * d % 2:
+        raise NoGraphsError(f"no {d}-regular graph on {n} vertices (n*d odd)")
+    if d >= n:
+        raise NoGraphsError(f"no simple {d}-regular graph on {n} vertices (d >= n)")
+    if d == 0:
+        return [Graph(1, [])] if n == 1 else []
+    if d == 1:
+        return [complete(2)] if n == 2 else []
+    cap = _GENERATION_CAPS.get(d)
+    if cap is None:
+        raise CapacityError(f"degree {d} above generation cap (d <= 7)")
+    if n > cap:
+        raise CapacityError(f"n={n} above generation cap {cap} for d={d}")
+
+    adj = [0] * n
+    deg = [0] * n
+    found: dict[str, Graph] = {}
+
+    def complete_vertex(v: int, intro: int) -> None:
+        if v == n:
+            g = Graph(n, [(i, j) for i in range(n) for j in _bits(adj[i]) if j > i])
+            h = canonical_form(g)
+            found.setdefault(h._canon, h)
+            return
+        if deg[v] == 0 and v > 0:
+            return  # vertices 0..v-1 are saturated: closed component
+        need = d - deg[v]
+        if need == 0:
+            complete_vertex(v + 1, intro)
+            return
+        old = [w for w in range(v + 1, intro) if deg[w] < d]
+        for j in range(min(need, n - intro), -1, -1):
+            r = need - j
+            if r > len(old):
+                continue
+            fresh = list(range(intro, intro + j))
+            for chosen in combinations(old, r):
+                ws = list(chosen) + fresh
+                for w in ws:
+                    adj[v] |= 1 << w
+                    adj[w] |= 1 << v
+                    deg[w] += 1
+                deg[v] = d
+                complete_vertex(v + 1, intro + j)
+                for w in ws:
+                    adj[v] &= ~(1 << w)
+                    adj[w] &= ~(1 << v)
+                    deg[w] -= 1
+                deg[v] = d - need
+
+    complete_vertex(0, 1)
+    return [found[key] for key in sorted(found)]
 
 
 # ---------------------------------------------------------------------------

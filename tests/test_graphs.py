@@ -1,6 +1,7 @@
 """Graph container, graph6 codec, canonical forms, counting, covers,
 matching, and corpus generation."""
 
+import hashlib
 import random
 from math import factorial
 
@@ -20,12 +21,14 @@ from oracles import (
     labeled_regular_count,
     labeled_regular_graphs,
     reference_canonical_order_masks,
+    reference_generate_connected_regular,
 )
 from regmatch import graphs as graphs_module
 from regmatch.errors import CapacityError, Graph6ParseError, NoGraphsError, RegmatchError
 from regmatch.graphs import (
     Graph,
     _canonical_order_masks,
+    _prefix_is_canonical,
     automorphism_count,
     canonical_form,
     canonical_key,
@@ -242,7 +245,7 @@ def test_canonical_search_matches_reference_on_generation_inputs(monkeypatch):
         return search(n, adj)
 
     monkeypatch.setattr(graphs_module, "_canonical_order_masks", recording)
-    assert len(generate_connected_regular(10, 3)) == 19
+    assert len(reference_generate_connected_regular(10, 3)) == 19
     monkeypatch.undo()
     assert len(seen) > 19
     for n, adj in seen:
@@ -401,15 +404,78 @@ def test_generation_counts_quartic(quartic_by_n):
     assert [len(quartic_by_n[n]) for n in (5, 6, 7, 8, 9)] == [1, 1, 2, 6, 16]
 
 
-def test_generation_output_canonical_and_regular(cubic_by_n, quartic_by_n):
-    for corpus in (cubic_by_n, quartic_by_n):
+def test_generation_output_canonical_and_regular(cubic_by_n, quartic_by_n, fivereg_by_n):
+    rng = random.Random(5)
+    for d, corpus in ((3, cubic_by_n), (4, quartic_by_n), (5, fivereg_by_n)):
         for graphs in corpus.values():
             keys = [canonical_key(g) for g in graphs]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
             for g, key in zip(graphs, keys):
-                assert encode_graph6(g) == key    # canonically labeled output
+                # keys searched afresh, not the key the generator set
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                assert encode_graph6(g) == key == canonical_key(Graph(g.n, g.edges))
+                assert canonical_key(g.relabel(perm)) == key
+                assert g.regular_degree() == d
                 assert g.is_connected()
+
+
+def _identity_columns(g):
+    """Level-j key of the identity labeling: g's adjacency of position j to
+    positions 0..j-1, position 0 most significant."""
+    return [sum((g.adj[i] >> j & 1) << (j - 1 - i) for i in range(j)) for j in range(g.n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs(8))
+def test_prefix_test_recognizes_canonical_labelings(g):
+    h = canonical_form(g)
+    assert _prefix_is_canonical(h.n, h.adj, _identity_columns(h))
+    assert _prefix_is_canonical(g.n, g.adj, _identity_columns(g)) == (g == h)
+    for k in range(h.n):  # hereditary: every leading induced subgraph
+        assert _prefix_is_canonical(k, h.adj, _identity_columns(h))
+
+
+def _listing(graphs):
+    return [(canonical_key(g), g.edges) for g in graphs]
+
+
+# every (d, n) with d >= 2 at which the reference generator takes under about
+# 1 s (6-regular n = 9 takes about 2 s and is checked at the cap below)
+_REFERENCE_JOBS = [(2, n) for n in range(3, 25)] + [
+    (3, 4), (3, 6), (3, 8), (3, 10), (4, 5), (4, 6), (4, 7), (4, 8), (4, 9),
+    (5, 6), (5, 8), (6, 7), (6, 8), (7, 8)]
+
+
+def test_generation_matches_reference(cubic_by_n, quartic_by_n, fivereg_by_n):
+    made = {(3, n): gs for n, gs in cubic_by_n.items()}
+    made.update({(4, n): gs for n, gs in quartic_by_n.items()})
+    made.update({(5, n): gs for n, gs in fivereg_by_n.items()})
+    for d, n in _REFERENCE_JOBS:
+        graphs = made.get((d, n)) or generate_connected_regular(n, d)
+        assert _listing(graphs) == _listing(reference_generate_connected_regular(n, d)), (d, n)
+
+
+# d: (cap, count, sha256 of the newline-joined canonical keys).  The counts
+# are OEIS A002851, A006820, A006821, A006822 and A014377; the digests were
+# recorded from the reference generator.
+_AT_THE_CAPS = {
+    3: (14, 509, "982bda7e5c1b3e451f1141f44800e11decff1548615f957e4a68a469d9e9b2ce"),
+    4: (11, 265, "562b2209efa72cc690b7ea5ae0c4ce10ec1ba15187e36043fb3f5a6e7064fc2a"),
+    5: (10, 60, "11628c01ef85ed002153c63265f8f51d51cf180493ec06e15c48ca648bc09dab"),
+    6: (9, 4, "d3f4735221737c9ddf8784535c6257c0576e7ea178bc63083f37c06427096a1f"),
+    7: (8, 1, "34fff80f29e6e5db50f4bf2f96090017e56e96e92f2c76f3ef2c52c4c11bab33"),
+}
+
+
+@pytest.mark.parametrize("d", sorted(_AT_THE_CAPS))
+def test_generation_at_the_cap(d):
+    n, count, digest = _AT_THE_CAPS[d]
+    assert n == generation_cap(d)
+    keys = [canonical_key(g) for g in generate_connected_regular(n, d)]
+    assert len(keys) == count
+    assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == digest
 
 
 def test_generation_empty_families():
