@@ -136,27 +136,21 @@ def _decimal(q: Fraction, digits: int = 12) -> str:
     return mpmath.nstr(mpmath.mpf(q.numerator) / q.denominator, digits)
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _enclosure_fields(e: Enclosure) -> dict:
     mid = e.midpoint
     return {
-        "lo": _frac_str(e.lo),
-        "hi": _frac_str(e.hi),
+        "lo": str(e.lo),
+        "hi": str(e.hi),
         "decimal": _decimal(mid),
         "radius": _decimal(e.width / 2, 3) if e.width else "0",
     }
 
 
 def _jsonify(obj):
-    if isinstance(obj, Fraction):
-        return _frac_str(obj)
+    if isinstance(obj, (Fraction, Verdict)):
+        return str(obj)
     if isinstance(obj, mpmath.mpf):
         return mpmath.nstr(obj, 17)
-    if isinstance(obj, Verdict):
-        return str(obj)
     if isinstance(obj, Enclosure):
         return _enclosure_fields(obj)
     if isinstance(obj, dict):
@@ -269,11 +263,14 @@ def _read_graph_inputs(paths: list[str]) -> list[tuple[str, str, int, Graph]]:
 
 
 def _corpus(d: int, nmax: int) -> list[Graph]:
-    # refuse before generating the sizes below the cap (d = 0 and 1 have one
-    # graph each and no cap applies)
+    # K_{d+1} is the only connected d-regular graph for d = 0 and 1, so no
+    # larger n is tried; for d >= 2 refuse before generating the sizes below
+    # the cap (a negative d is refused by the generator)
     cap = generation_cap(d)
-    if d >= 2 and any(n * d % 2 == 0 and (cap is None or n > cap)
-                      for n in range(d + 1, nmax + 1)):
+    if d in (0, 1):
+        nmax = min(nmax, d + 1)
+    elif d >= 2 and any(n * d % 2 == 0 and (cap is None or n > cap)
+                        for n in range(d + 1, nmax + 1)):
         raise CapacityError(f"--nmax {nmax} above the generation cap for d={d}")
     graphs = []
     for n in range(d + 1, nmax + 1):
@@ -325,7 +322,7 @@ def _cmd_ak_table(args) -> int:
     for label, sums in rows:
         vals = [sums.doubled(k) for k in range(1, args.kmax + 1)]
         cmd.say(f"{label:<{width}}  " + " ".join(str(v) for v in vals))
-        cmd.add({"row": label, "doubled_power_sums": [_frac_str(v) for v in vals]})
+        cmd.add({"row": label, "doubled_power_sums": [str(v) for v in vals]})
     return cmd.emit()
 
 
@@ -346,7 +343,7 @@ def _cmd_verify(args) -> int:
     cmd = _Command("verify", args, {
         "d": args.d,
         "nmax": args.nmax,
-        "lambdas": [_frac_str(q) for q in lams],
+        "lambdas": [str(q) for q in lams],
         "precision_bits": args.precision_bits,
         "include_necklaces": args.include_necklaces,
     })
@@ -368,7 +365,7 @@ def _cmd_verify(args) -> int:
             cmd.add({
                 "canonical_key": key,
                 "n": g.n,
-                "lambda": _frac_str(lam),
+                "lambda": str(lam),
                 "verdict": rep.verdict,
                 "equality": rep.equality,
                 "margin": rep.margin,
@@ -394,7 +391,7 @@ def _cmd_ladder(args) -> int:
         "ladder": list(ladder),
         "degree": args.degree,
         "dps": args.dps,
-        "base_cap": _frac_str(args.base_cap),
+        "base_cap": str(args.base_cap),
         "target": args.target,
     })
     report = ladder_verify(ladder, base_cap=args.base_cap, target=args.target,
@@ -451,7 +448,7 @@ def _cmd_remez(args) -> int:
 
 
 def _cmd_cd(args) -> int:
-    cmd = _Command("cd", args, {"dmax": args.dmax, "width": _frac_str(args.width)})
+    cmd = _Command("cd", args, {"dmax": args.dmax, "width": str(args.width)})
     cmd.say(f"{'d':>3} {'c_d':>14} width")
     for d in range(3, args.dmax + 1, 2):
         cc = critical_constant(d, width=args.width)

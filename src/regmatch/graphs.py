@@ -1,5 +1,6 @@
 """Desk-scale graphs: representation, graph6 codec, canonical forms,
-regular-corpus generation, subgraph statistics, maximum matching, covers.
+regular-corpus generation, subgraph statistics, covers, and the maximum
+matching size, which is read off the matching polynomial (matchpoly).
 
 Vertices are 0..n-1; adjacency is kept as per-vertex bitmasks so that the
 hot inner loops (canonical search, generation, subgraph counts) are integer
@@ -8,7 +9,6 @@ arithmetic only.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -471,83 +471,17 @@ def neighborhood_edge_counts(g: Graph) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Maximum matching (blossom contraction on a BFS forest)
-
-def _blossom_matching(n: int, adj: Sequence[int]) -> list[int]:
-    match = [-1] * n
-
-    def try_augment(root: int) -> bool:
-        p = [-1] * n
-        base = list(range(n))
-        used = [False] * n
-        used[root] = True
-        q = deque([root])
-
-        def lca(a: int, b: int) -> int:
-            seen = [False] * n
-            while True:
-                a = base[a]
-                seen[a] = True
-                if match[a] == -1:
-                    break
-                a = p[match[a]]
-            while True:
-                b = base[b]
-                if seen[b]:
-                    return b
-                b = p[match[b]]
-
-        def mark_path(v: int, b: int, child: int, inb: list[bool]) -> None:
-            while base[v] != b:
-                inb[base[v]] = True
-                inb[base[match[v]]] = True
-                p[v] = child
-                child = match[v]
-                v = p[match[v]]
-
-        while q:
-            v = q.popleft()
-            for to in _bits(adj[v]):
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    # odd cycle: contract the blossom down to the lca base
-                    cur = lca(v, to)
-                    inb = [False] * n
-                    mark_path(v, cur, to, inb)
-                    mark_path(to, cur, v, inb)
-                    for i in range(n):
-                        if inb[base[i]]:
-                            base[i] = cur
-                            if not used[i]:
-                                used[i] = True
-                                q.append(i)
-                elif p[to] == -1:
-                    p[to] = v
-                    if match[to] == -1:
-                        # augment along parent pointers
-                        u = to
-                        while u != -1:
-                            pv = p[u]
-                            nxt = match[pv]
-                            match[u] = pv
-                            match[pv] = u
-                            u = nxt
-                        return True
-                    used[match[to]] = True
-                    q.append(match[to])
-        return False
-
-    for v in range(n):
-        if match[v] == -1:
-            try_augment(v)
-    return match
-
+# Maximum matching
 
 def max_matching(g: Graph) -> int:
-    """Size of a maximum matching."""
-    match = _blossom_matching(g.n, g.adj)
-    return sum(1 for v, m in enumerate(match) if m > v)
+    """Size of a maximum matching, read as the degree of M(G, x).
+
+    The coefficients come from matchpoly's frontier DP (and stay on g), so
+    this shares its domain: it raises CapacityError wherever
+    matching_counts does, e.g. on K_18 or any graph of frontier width
+    above 16."""
+    from .matchpoly import matching_counts  # matchpoly imports this module
+    return len(matching_counts(g)) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,17 @@ from math import comb
 
 import mpmath
 
-from .errors import CapacityError, DomainError
-from .graphs import Graph, complete, isomorphic, max_matching
+from .errors import DomainError
+from .graphs import Graph, max_matching
 from .matchpoly import q_complete
 
 _EXHAUSTIVE_CAP = 16
 
 
 def _has_complete_component(g: Graph, d: int) -> bool:
-    kd1 = complete(d + 1)
-    return any(len(comp) == d + 1 and isomorphic(g.induced(comp), kd1)
-               for comp in g.components())
+    # g is d-regular (the caller checks), and a d-regular component on
+    # d + 1 vertices is K_{d+1}
+    return any(len(comp) == d + 1 for comp in g.components())
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,8 @@ def matching_lower_bound_check(g: Graph, d: int) -> MatchingBoundReport:
     """nu(G) >= (d+2) n / (2(d+3)), exact comparison.
 
     No completeness precondition: K_{d+1} itself is allowed and honestly
-    fails (its maximum matching is only d/2)."""
+    fails (its maximum matching is only d/2).  nu is the degree of M(G, x),
+    so graphs past the matching-polynomial DP's caps raise CapacityError."""
     if d % 2 or d < 2:
         raise DomainError("even d >= 2 required")
     if g.regular_degree() != d:

@@ -174,7 +174,6 @@ class InequalityReport:
     margin: Enclosure          # (1/n) ln M_G - (1/m) ln M_H
     equality: bool
     lhs_value: Fraction        # M_G(lam)
-    rhs_value: Fraction        # M_H(lam)
     bits: int
 
 
@@ -210,12 +209,12 @@ def compare_log_per_vertex(a: Fraction, n: int, b: Fraction, m: int,
     equality = lhs == rhs
     verdict = Verdict.HOLDS if lhs >= rhs else Verdict.FAILS
     if equality:
-        return InequalityReport(verdict, Enclosure.exact(0), True, a, b, bits)
+        return InequalityReport(verdict, Enclosure.exact(0), True, a, bits)
     # the verdict is exact regardless; at MAX_BITS only the margin stays coarse
     margin, used = _escalate(
         lambda prec: log_a(prec) - log_b(prec),
         (lambda m: m.lo > 0) if lhs > rhs else (lambda m: m.hi < 0), bits)
-    return InequalityReport(verdict, margin, False, a, b, used)
+    return InequalityReport(verdict, margin, False, a, used)
 
 
 def verify_inequality(g: Graph, d: int, lam,

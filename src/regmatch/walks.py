@@ -25,8 +25,6 @@ class PathTree:
     """Path tree T(G, u): nodes are self-avoiding paths from u, a node's
     parent is the path with its last vertex removed."""
 
-    base_n: int
-    root_vertex: int
     last: tuple[int, ...]     # last base vertex of each path node
     parent: tuple[int, ...]   # parent[0] == -1
 
@@ -44,8 +42,7 @@ class PathTree:
         return Graph(self.size, [(self.parent[i], i) for i in range(1, self.size)])
 
 
-def build_path_tree(g: Graph, u: int, cap: int = _PATH_TREE_CAP, *,
-                    depth: int | None = None) -> PathTree:
+def build_path_tree(g: Graph, u: int, *, depth: int | None = None) -> PathTree:
     """T(G, u), or with `depth` only its paths of at most that many edges."""
     if not 0 <= u < g.n:
         raise DomainError(f"root {u} outside vertex range")
@@ -61,13 +58,13 @@ def build_path_tree(g: Graph, u: int, cap: int = _PATH_TREE_CAP, *,
             continue
         for w in _bits(g.adj[v] & ~mask):
             idx = len(last)
-            if idx >= cap:
-                raise CapacityError(f"path tree exceeds {cap} nodes")
+            if idx >= _PATH_TREE_CAP:
+                raise CapacityError(f"path tree exceeds {_PATH_TREE_CAP} nodes")
             last.append(w)
             parent.append(node)
             masks.append(mask | 1 << w)
             queue.append(idx)
-    return PathTree(g.n, u, tuple(last), tuple(parent))
+    return PathTree(tuple(last), tuple(parent))
 
 
 def closed_walks_at_root(tree: PathTree, length: int) -> int:

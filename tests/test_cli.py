@@ -9,7 +9,7 @@ import re
 import pytest
 
 from regmatch.cli import build_parser, main
-from regmatch.graphs import complete, encode_graph6
+from regmatch.graphs import complete, encode_graph6, generate_connected_regular
 from regmatch.matchpoly import _MAX_FRONTIER_WIDTH
 
 
@@ -117,6 +117,24 @@ def test_verify_necklaces_need_cubic(capsys):
                          "--lambda", "1", "--include-necklaces", "2")
     assert code == 2
     assert "necklace rows require --d 3" in err
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_small_degree_corpus_stops_at_the_complete_graph(monkeypatch, capsys, d):
+    # K_{d+1} is the only connected d-regular graph for d < 2, so the work
+    # must not grow with --nmax
+    calls = []
+
+    def counted(n, deg):
+        calls.append(n)
+        assert len(calls) <= d + 1, "generation past K_{d+1}"
+        return generate_connected_regular(n, deg)
+
+    monkeypatch.setattr("regmatch.cli.generate_connected_regular", counted)
+    code, out, err = run(capsys, "verify", "--d", str(d), "--nmax", "1000000",
+                         "--lambda", "1/4")
+    assert code == 0
+    assert "graphs=1 points=1 HOLDS=1" in out
 
 
 def test_verify_json_report(capsys):
@@ -234,7 +252,8 @@ def test_bad_input_exits_two_without_traceback(monkeypatch, capsys, argv):
 
 
 # integer options whose work is bounded some other way: the generation cap
-# limits --nmax, and --d beyond the caps generates nothing
+# limits --nmax for d >= 2, d = 0 and 1 stop at K_{d+1} whatever --nmax is,
+# and --d beyond the caps generates nothing
 _UNBOUNDED_INT_OK = {("verify", "--d"), ("verify", "--nmax"),
                      ("polytope", "--d"), ("polytope", "--nmax")}
 

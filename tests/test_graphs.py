@@ -348,6 +348,16 @@ def test_max_matching_random_against_brute():
         assert max_matching(g) == brute_max_matching(g)
 
 
+def test_max_matching_shares_the_dp_domain():
+    # nu is the degree of M(G, x): the empty and one-vertex graphs have only
+    # the empty matching, and K_17 is the largest complete graph inside the
+    # frontier DP's width cap
+    assert max_matching(Graph(0, [])) == max_matching(Graph(1, [])) == 0
+    assert max_matching(complete(17)) == 8
+    with pytest.raises(CapacityError):
+        max_matching(complete(18))
+
+
 # ---------------------------------------------------------------------------
 # Covers
 

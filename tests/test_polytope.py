@@ -12,6 +12,7 @@ from regmatch.graphs import (
     circulant,
     complete,
     cycle,
+    disjoint_union,
     path_graph,
     petersen,
 )
@@ -47,6 +48,16 @@ def test_edmonds_case_split_on_large_graph():
     assert w.mode == "case-split"
     assert w.subsets_checked == 0
     assert w.case_split_ok
+
+
+def test_edmonds_complete_component_by_size():
+    # in a 4-regular graph a component on 5 vertices is K_5
+    with pytest.raises(DomainError, match="K_5"):
+        edmonds_check(disjoint_union(complete(5), circulant(8, (1, 2))), 4)
+    # components on 7 and 8 vertices are allowed; 15 vertices is exhaustive
+    w = edmonds_check(disjoint_union(circulant(7, (1, 2)), circulant(8, (1, 2))), 4)
+    assert w.ok
+    assert w.mode == "exhaustive"
 
 
 def test_edmonds_boundary_two_regular():

@@ -39,9 +39,10 @@ def test_path_tree_of_tree_is_itself():
     assert tg.n == 5 and len(tg.edges) == 4
 
 
-def test_path_tree_cap():
+def test_path_tree_cap(monkeypatch):
+    monkeypatch.setattr("regmatch.walks._PATH_TREE_CAP", 10)
     with pytest.raises(CapacityError):
-        build_path_tree(petersen(), 0, cap=10)
+        build_path_tree(petersen(), 0)
 
 
 def test_cut_path_tree_keeps_short_closed_walks():
