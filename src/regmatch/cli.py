@@ -66,12 +66,23 @@ _BUILTIN_GRAPHS = {
 }
 
 
+_RATIONAL_BITS = 4096  # `cd --width 1e-1233`, a 4096-bit denominator, takes about 10 s
+
+
 def _rational(text: str) -> Fraction:
-    """Accept 'p/q' or a decimal literal, exactly."""
+    """Accept 'p/q' or a decimal literal, exactly, when its numerator and
+    denominator have at most _RATIONAL_BITS bits."""
+    too_long = argparse.ArgumentTypeError(
+        f"numerator or denominator above {_RATIONAL_BITS} bits: {text!r}")
+    if len(text.lower().partition("e")[2]) > 6:  # Fraction would build 10**exponent
+        raise too_long
     try:
-        return Fraction(text.strip())
+        value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > _RATIONAL_BITS:
+        raise too_long
+    return value
 
 
 def _positive(parse):
@@ -326,12 +337,17 @@ def _cmd_ak_table(args) -> int:
     return cmd.emit()
 
 
+_GRID_POINTS = 500  # `verify --d 3 --nmax 12` on 500 grid points takes about 10 s
+
+
 def _verify_lambdas(args) -> list[Fraction]:
     if args.lam:
         return sorted(set(args.lam))
     step = args.grid_step
-    top = args.grid_max
-    count = int(top / step)
+    count = args.grid_max // step
+    if count > _GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"lambda grid of {count} points, above {_GRID_POINTS}")
     grid = [step * j for j in range(1, count + 1)]
     if not grid:
         raise argparse.ArgumentTypeError("empty lambda grid")

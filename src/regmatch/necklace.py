@@ -222,7 +222,10 @@ def _positive_rational_root(q: Poly) -> Fraction | None:
 def critical_constant(d: int, width=Fraction(1, 10 ** 10)) -> CriticalConstant:
     """Sign-certified bisection bracket of c_d, the unique positive root
     of Q_d (odd d >= 3); exact rational roots are detected and returned
-    as zero-width brackets."""
+    as zero-width brackets through d = 15 only.  The rational-root search
+    skips coefficients above _DIVISOR_CAP = 10^12, and the leading
+    coefficient of Q_d passes it from d = 17 on (Q_17's is
+    -4,108,830,350,625), so from there c_d is always a bracket."""
     if d % 2 == 0 or d < 3:
         raise DomainError("c_d defined for odd d >= 3")
     width = Fraction(width)

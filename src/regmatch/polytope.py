@@ -12,7 +12,7 @@ from math import comb
 import mpmath
 
 from .errors import DomainError
-from .graphs import Graph, max_matching
+from .graphs import Graph, _bits, max_matching
 from .matchpoly import q_complete
 
 _EXHAUSTIVE_CAP = 16
@@ -51,6 +51,13 @@ class FractionalWitness:
         return self.nonneg_ok and self.vertex_ok and self.odd_set_ok
 
 
+def _check_even_regular(g: Graph, d: int) -> None:
+    if d % 2 or d < 2:
+        raise DomainError("even d >= 2 required")
+    if g.regular_degree() != d:
+        raise DomainError("graph is not d-regular")
+
+
 def edmonds_check(g: Graph, d: int) -> FractionalWitness:
     """Membership of the uniform vector in the matching polytope.
 
@@ -58,16 +65,13 @@ def edmonds_check(g: Graph, d: int) -> FractionalWitness:
     graphs verifies the three analytic size cases (|S| <= d-1, = d+1,
     >= d+3) that bound every odd set's internal edge count.
     """
-    if d % 2 or d < 2:
-        raise DomainError("even d >= 2 required")
-    if g.regular_degree() != d:
-        raise DomainError("graph is not d-regular")
+    _check_even_regular(g, d)
     if _has_complete_component(g, d):
         raise DomainError(f"a component is K_{d + 1}, excluded by hypothesis")
     x = Fraction(d + 2, d * (d + 3))
     vertex_ok = d * x <= 1
     if g.n <= _EXHAUSTIVE_CAP:
-        odd_ok, cases_ok, checked, violations = _exhaustive_odd_sets(g, d, x)
+        odd_ok, cases_ok, checked, violations = _exhaustive_odd_sets(g, d)
         mode = "exhaustive"
     else:
         odd_ok = cases_ok = _case_split_valid(d)
@@ -78,42 +82,40 @@ def edmonds_check(g: Graph, d: int) -> FractionalWitness:
                              checked, cases_ok, tuple(violations))
 
 
-def _exhaustive_odd_sets(g: Graph, d: int, x: Fraction):
-    n = g.n
+def _size_cap(d: int, s: int) -> int:
+    """The proof's cap on the edges inside an odd set of size s (d even,
+    no K_{d+1} component)."""
+    if s <= d - 1:
+        return comb(s, 2)
+    if s == d + 1:
+        return comb(d + 1, 2) - 1
+    return d * s // 2
+
+
+def _odd_set_fits(d: int, s: int, edges: int) -> bool:
+    """Edmonds' condition x e(S) <= (|S|-1)/2 at x = (d+2)/(d(d+3)), in integers."""
+    return 2 * (d + 2) * edges <= (s - 1) * d * (d + 3)
+
+
+def _exhaustive_odd_sets(g: Graph, d: int):
     adj = g.adj
-    odd_ok = True
-    cases_ok = True
+    caps = [_size_cap(d, s) for s in range(g.n + 1)]
+    odd_ok = cases_ok = True
     checked = 0
     violations = []
-    for mask in range(1, 1 << n):
+    for mask in range(1, 1 << g.n):
         s = mask.bit_count()
         if s < 3 or s % 2 == 0:
             continue
         checked += 1
-        edges = 0
-        m = mask
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            edges += (adj[v] & mask & ~((low << 1) - 1)).bit_count()
-        allowed = Fraction(s - 1, 2)
-        if x * edges > allowed:
+        members = _bits(mask)
+        edges = sum((adj[v] & mask).bit_count() for v in members) >> 1
+        if not _odd_set_fits(d, s, edges):
             odd_ok = False
-            violations.append(OddSetViolation(
-                tuple(i for i in range(n) if mask >> i & 1), edges, allowed))
-        # the proof's per-size caps on edges inside an odd set
-        if s <= d - 1:
-            cap = comb(s, 2)
-        elif s == d + 1:
-            cap = comb(d + 1, 2) - 1
-        else:
-            cap = d * s // 2
-        if edges > cap:
+            violations.append(OddSetViolation(tuple(members), edges, Fraction(s - 1, 2)))
+        if edges > caps[s]:
             cases_ok = False
-            violations.append(OddSetViolation(
-                tuple(i for i in range(n) if mask >> i & 1), edges,
-                Fraction(cap)))
+            violations.append(OddSetViolation(tuple(members), edges, Fraction(caps[s])))
     return odd_ok, cases_ok, checked, violations
 
 
@@ -126,12 +128,7 @@ def _case_split_valid(d: int) -> bool:
       s == d+1:  e(S) <= C(d+1,2) - 1 since S cannot induce all of K_{d+1};
       s >= d+3:  e(S) <= d s / 2, and x d s / 2 <= (s-1)/2 iff s >= d+3.
     """
-    x = Fraction(d + 2, d * (d + 3))
-    small = x * (d - 1) <= 1
-    mid = x * (comb(d + 1, 2) - 1) <= Fraction(d, 2)
-    s = d + 3
-    large = x * Fraction(d * s, 2) <= Fraction(s - 1, 2)
-    return small and mid and large
+    return all(_odd_set_fits(d, s, _size_cap(d, s)) for s in (d - 1, d + 1, d + 3))
 
 
 @dataclass(frozen=True)
@@ -149,10 +146,7 @@ def matching_lower_bound_check(g: Graph, d: int) -> MatchingBoundReport:
     No completeness precondition: K_{d+1} itself is allowed and honestly
     fails (its maximum matching is only d/2).  nu is the degree of M(G, x),
     so graphs past the matching-polynomial DP's caps raise CapacityError."""
-    if d % 2 or d < 2:
-        raise DomainError("even d >= 2 required")
-    if g.regular_degree() != d:
-        raise DomainError("graph is not d-regular")
+    _check_even_regular(g, d)
     nu = max_matching(g)
     bound = Fraction((d + 2) * g.n, 2 * (d + 3))
     return MatchingBoundReport(d, g.n, nu, bound, nu >= bound)

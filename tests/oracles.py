@@ -29,6 +29,7 @@ from regmatch.graphs import (
     complete,
 )
 from regmatch.polynomials import _horner, _poly_mul
+from regmatch.polytope import OddSetViolation
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +117,47 @@ def complete_matching_count(n: int, r: int) -> int:
     if 2 * r > n:
         return 0
     return factorial(n) // (2 ** r * factorial(r) * factorial(n - 2 * r))
+
+
+def reference_exhaustive_odd_sets(g: Graph, d: int, x: Fraction):
+    """Edmonds' odd-set conditions for the uniform vector x by Fraction
+    arithmetic, with the proof's per-size edge caps written out in place:
+    (odd_ok, cases_ok, subsets_checked, violations)."""
+    n = g.n
+    adj = g.adj
+    odd_ok = True
+    cases_ok = True
+    checked = 0
+    violations = []
+    for mask in range(1, 1 << n):
+        s = mask.bit_count()
+        if s < 3 or s % 2 == 0:
+            continue
+        checked += 1
+        edges = 0
+        m = mask
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            edges += (adj[v] & mask & ~((low << 1) - 1)).bit_count()
+        allowed = Fraction(s - 1, 2)
+        if x * edges > allowed:
+            odd_ok = False
+            violations.append(OddSetViolation(
+                tuple(i for i in range(n) if mask >> i & 1), edges, allowed))
+        if s <= d - 1:
+            cap = comb(s, 2)
+        elif s == d + 1:
+            cap = comb(d + 1, 2) - 1
+        else:
+            cap = d * s // 2
+        if edges > cap:
+            cases_ok = False
+            violations.append(OddSetViolation(
+                tuple(i for i in range(n) if mask >> i & 1), edges,
+                Fraction(cap)))
+    return odd_ok, cases_ok, checked, violations
 
 
 # ---------------------------------------------------------------------------

@@ -230,13 +230,24 @@ def test_verify_rejects_nonpositive_step_and_precision(capsys, argv):
     ["verify", "--d", "3", "--nmax", "100000"],
     ["polytope", "--d", "4", "--nmax", "12"],
     ["poly"],
+    ["verify", "--lambda", "1e-30000"],
+    ["cd", "--width", "1e-30000"],
+    ["ladder", "--base-cap", "1e-30000"],
+    ["cd", "--width", "1e-3000"],
+    ["verify", "--d", "3", "--nmax", "4", "--grid-step", "1/1000000", "--grid-max", "1"],
+    ["verify", "--d", "3", "--nmax", "4", "--grid-step", "1/100", "--grid-max", "1000000"],
+    ["verify", "--d", "3", "--nmax", "4", "--grid-step", "1e-30000"],
+    ["verify", "--lambda", "1e-999999999"],
 ])
 def test_bad_input_exits_two_without_traceback(monkeypatch, capsys, argv):
     # these once raised IndexError, ValueError, FileNotFoundError or (for
     # --a 1e99999, --a 1e-30 and --degree 40) ZeroDivisionError, exiting 1
     # as if FAILS or 3 as a crash, or ran unbounded (a zero width, an integer
     # option with no upper limit, or --nmax past the generation cap, which
-    # was refused only after generating every size below it)
+    # was refused only after generating every size below it); a rational of
+    # 30000 digits crashed when the report turned it into a string, and a
+    # 3000-digit width, a million grid points or a decimal exponent of nine
+    # digits ran unbounded
     # `poly` reads K_{cap+2} from stdin, whose frontier width is past the
     # matching-polynomial DP's cap
     monkeypatch.setattr("sys.stdin", io.StringIO(

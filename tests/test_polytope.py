@@ -13,15 +13,21 @@ from regmatch.graphs import (
     complete,
     cycle,
     disjoint_union,
+    generate_connected_regular,
     path_graph,
     petersen,
 )
 from regmatch.matchpoly import gen_poly_value
 from regmatch.polytope import (
+    OddSetViolation,
+    _case_split_valid,
+    _exhaustive_odd_sets,
     edmonds_check,
     even_d_threshold,
     matching_lower_bound_check,
 )
+
+from oracles import reference_exhaustive_odd_sets
 
 
 def test_edmonds_exhaustive_on_small_quartic(quartic_by_n):
@@ -58,6 +64,33 @@ def test_edmonds_complete_component_by_size():
     w = edmonds_check(disjoint_union(circulant(7, (1, 2)), circulant(8, (1, 2))), 4)
     assert w.ok
     assert w.mode == "exhaustive"
+
+
+def test_exhaustive_odd_sets_match_the_fraction_reference(quartic10):
+    k5_key = canonical_key(complete(5))
+    cases = [(g, 4) for graphs in quartic10.values() for g in graphs
+             if canonical_key(g) != k5_key]
+    cases += [(g, 6) for n in (8, 9) for g in generate_connected_regular(n, 6)]
+    cases += [(cycle(n), 2) for n in range(4, 17)]
+    cases.append((disjoint_union(circulant(7, (1, 2)), circulant(8, (1, 2))), 4))
+    for g, d in cases:
+        x = Fraction(d + 2, d * (d + 3))
+        assert _exhaustive_odd_sets(g, d) == reference_exhaustive_odd_sets(g, d, x)
+
+
+def test_exhaustive_odd_sets_report_both_violations_on_k5():
+    # edmonds_check refuses K_5, so only a direct call reaches the violation
+    # path: on the full set x e(S) = 30/14 exceeds (5-1)/2 = 2, and
+    # e(S) = 10 exceeds the cap C(5,2) - 1 = 9
+    full = (0, 1, 2, 3, 4)
+    expected = (False, False, 11, [OddSetViolation(full, 10, Fraction(2)),
+                                   OddSetViolation(full, 10, Fraction(9))])
+    assert _exhaustive_odd_sets(complete(5), 4) == expected
+    assert reference_exhaustive_odd_sets(complete(5), 4, Fraction(3, 14)) == expected
+
+
+def test_case_split_holds_for_every_even_degree():
+    assert all(_case_split_valid(d) for d in range(2, 401, 2))
 
 
 def test_edmonds_boundary_two_regular():
