@@ -66,7 +66,7 @@ _BUILTIN_GRAPHS = {
 }
 
 
-_RATIONAL_BITS = 4096  # `cd --width 1e-1233`, a 4096-bit denominator, takes about 10 s
+_RATIONAL_BITS = 4096  # `cd --width 1e-1233` (4096 bits, default --dmax) takes about 3 s
 
 
 def _rational(text: str) -> Fraction:
@@ -463,7 +463,20 @@ def _cmd_remez(args) -> int:
     return cmd.emit()
 
 
+_CD_WORK = 3e12  # `cd --dmax 17 --width 1e-975` (2.93e12) takes about 9 s
+
+
+def _check_cd_work(dmax: int, width: Fraction) -> None:
+    """Refuse a `cd` run whose time, which grows like dmax^3 * bits^2.5 with
+    `bits` the bits of 1/width, is past _CD_WORK."""
+    bits = (width.denominator // width.numerator).bit_length()
+    if dmax ** 3 * bits ** 2.5 > _CD_WORK:
+        raise argparse.ArgumentTypeError(
+            f"--dmax {dmax} with a {bits}-bit --width: dmax^3 * bits^2.5 above {_CD_WORK:.0e}")
+
+
 def _cmd_cd(args) -> int:
+    _check_cd_work(args.dmax, args.width)
     cmd = _Command("cd", args, {"dmax": args.dmax, "width": str(args.width)})
     cmd.say(f"{'d':>3} {'c_d':>14} width")
     for d in range(3, args.dmax + 1, 2):

@@ -20,10 +20,10 @@ from functools import lru_cache
 from .errors import DomainError
 from .graphs import Graph
 from .matchpoly import matching_gen_poly, q_complete, q_complete_minus_edge
-from .polynomials import Poly
+from .polynomials import Poly, _scaled_horner
 
 _X = Poly([0, 1])
-_DIVISOR_CAP = 10 ** 12  # _divisors gives up above it (trial division to 10^6)
+_DIVISOR_CAP = 10 ** 12  # _divisors gives up above it (trial division to 10^6 at worst)
 
 
 @dataclass(frozen=True)
@@ -189,16 +189,24 @@ class CriticalConstant:
 
 
 def _divisors(n: int) -> list[int]:
+    """Sorted positive divisors of |n| from its prime factorisation; empty
+    for 0 and above _DIVISOR_CAP."""
     n = abs(n)
     if n == 0 or n > _DIVISOR_CAP:
         return []
-    out = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-        i += 1
+    out = [1]
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            pk, powers = 1, []
+            while n % p == 0:
+                n //= p
+                pk *= p
+                powers.append(pk)
+            out += [d * m for d in out for m in powers]
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out += [d * n for d in out]
     return sorted(out)
 
 
@@ -213,9 +221,8 @@ def _positive_rational_root(q: Poly) -> Fraction | None:
         return None
     for p in _divisors(int(coeffs[0])):
         for den in _divisors(int(coeffs[-1])):
-            cand = Fraction(p, den)
-            if q(cand) == 0:
-                return cand
+            if _scaled_horner(coeffs, p, den) == 0:
+                return Fraction(p, den)
     return None
 
 
@@ -234,8 +241,9 @@ def critical_constant(d: int, width=Fraction(1, 10 ** 10)) -> CriticalConstant:
     if root is not None:
         return CriticalConstant(d, root, root, Fraction(0), Fraction(0), True)
 
-    def val(x: Fraction) -> Fraction:
-        return q(x)
+    def val(x: Fraction) -> int:
+        """An integer with the sign of Q_d(x), zero with it."""
+        return _scaled_horner(q.coeffs, x.numerator, x.denominator)
 
     lo = Fraction(1, 1024)
     while val(lo) <= 0:
@@ -260,4 +268,4 @@ def critical_constant(d: int, width=Fraction(1, 10 ** 10)) -> CriticalConstant:
             lo = mid
         else:
             hi = mid
-    return CriticalConstant(d, lo, hi, val(lo), val(hi), False)
+    return CriticalConstant(d, lo, hi, q(lo), q(hi), False)

@@ -27,6 +27,23 @@ def _horner(coeffs: Sequence, x):
     return acc
 
 
+def _scaled_horner(coeffs: Sequence[int], p: int, q: int) -> int:
+    """q^deg * P(p/q) for integer coefficients (lowest degree first) and
+    q > 0, in integers: it has the sign of P(p/q) and is zero with it.  A
+    power of two q, as at every bisection point, scales by shifts."""
+    acc = 0
+    if q & (q - 1):
+        scale = 1
+        for c in reversed(coeffs):
+            acc = acc * p + c * scale
+            scale *= q
+        return acc
+    e = q.bit_length() - 1
+    for i, c in enumerate(reversed(coeffs)):
+        acc = acc * p + (c << e * i)
+    return acc
+
+
 def _poly_mul(a: Sequence, b: Sequence) -> list:
     """Product of two coefficient sequences (lowest degree first); an empty
     factor gives an empty or all-zero list."""

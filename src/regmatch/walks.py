@@ -5,7 +5,9 @@ roots, the normalized power sums a_k = (1/n) sum_i g_i^k are the bridge
 between the partition function and walk counts: n * 2 a_k equals the number
 of closed tree-like walks of length 2k in G, summed over all starting
 vertices, which in turn equals the number of closed walks at the roots of
-the path trees T(G, u).
+the path trees T(G, u).  `tree_like_walk_total` counts those walks over
+(vertex, visited set) states without building any tree; `build_path_tree`
+and `closed_walks_at_root` construct the trees themselves.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .errors import CapacityError, DomainError
 from .graphs import Graph, _bits
 from .polynomials import Poly
 
-_PATH_TREE_CAP = 500_000
+_PATH_TREE_CAP = 500_000  # path-tree nodes, or walk states in one total
 
 
 @dataclass(frozen=True)
@@ -90,14 +92,50 @@ def closed_walks_at_root(tree: PathTree, length: int) -> int:
 
 
 def tree_like_walk_total(g: Graph, length: int) -> int:
-    """Closed tree-like walks of the given even length in G, summed over
-    all starting vertices; equals n * s_length = n * 2 a_{length/2}.  Such a
-    walk goes no deeper than length/2, so each tree is cut there."""
+    """Closed tree-like walks of the given even length 2k in G, summed over
+    all starting vertices; equals n * s_length = n * 2 a_k.
+
+    These are the closed walks at the roots of the path trees, counted over
+    (v, S) states instead of tree nodes: the subtree below a path depends
+    only on its last vertex v and its vertex set S.  With x marking a step
+    down and back up, the closed walks at a state that stay below it have
+    the series A(v, S) = 1 / (1 - x sum_{w in N(v) - S} A(w, S + w)), needed
+    to degree k - (|S| - 1).  States are built level by level, without
+    recursion, down to paths of k - 1 edges, whose series is
+    1 + (number of children) x, and folded back up; the total is
+    sum_u [x^k] A(u, {u})."""
     if length < 2 or length % 2:
         raise DomainError("walk length must be even and >= 2")
-    return sum(closed_walks_at_root(build_path_tree(g, u, depth=length // 2),
-                                    length)
-               for u in range(g.n))
+    k = length // 2
+    adj = g.adj
+    levels = [[(u, 1 << u) for u in range(g.n)]]
+    created = g.n
+    for _ in range(k - 1):
+        below: dict[tuple[int, int], None] = {}
+        for v, mask in levels[-1]:
+            for w in _bits(adj[v] & ~mask):
+                below[w, mask | 1 << w] = None
+            if created + len(below) > _PATH_TREE_CAP:
+                raise CapacityError(f"walk states exceed {_PATH_TREE_CAP}")
+        created += len(below)
+        levels.append(list(below))
+    series = {(v, mask): (1, (adj[v] & ~mask).bit_count())
+              for v, mask in levels.pop()}
+    top = 1
+    while levels:
+        top += 1
+        above = {}
+        for v, mask in levels.pop():
+            down = [0] * top
+            for w in _bits(adj[v] & ~mask):
+                for i, c in enumerate(series[w, mask | 1 << w]):
+                    down[i] += c
+            a = [1]
+            for j in range(1, top + 1):
+                a.append(sum(down[i] * a[j - 1 - i] for i in range(j)))
+            above[v, mask] = a
+        series = above
+    return sum(series[u, 1 << u][k] for u in range(g.n))
 
 
 @dataclass(frozen=True)

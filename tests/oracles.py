@@ -28,6 +28,7 @@ from regmatch.graphs import (
     canonical_form,
     complete,
 )
+from regmatch.necklace import _DIVISOR_CAP, CriticalConstant, qd_recursive
 from regmatch.polynomials import _horner, _poly_mul
 from regmatch.polytope import OddSetViolation
 
@@ -261,6 +262,60 @@ def truncated_tree_adj(d: int, depth: int) -> list[list[int]]:
                 nxt.append(w)
         frontier = nxt
     return adj
+
+
+# ---------------------------------------------------------------------------
+# Critical constants
+
+def reference_divisors(n: int) -> list[int]:
+    """Sorted positive divisors of |n| by trial division of every i up to
+    sqrt(|n|); empty for 0 and above the divisor cap."""
+    n = abs(n)
+    if n == 0 or n > _DIVISOR_CAP:
+        return []
+    out = set()
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.add(i)
+            out.add(n // i)
+        i += 1
+    return sorted(out)
+
+
+def reference_critical_constant(d: int, width=Fraction(1, 10 ** 10)) -> CriticalConstant:
+    """c_d by the same rational-root search and bisection as the library,
+    with every zero and sign test a Fraction evaluation of Q_d."""
+    width = Fraction(width)
+    q = qd_recursive(d)
+    coeffs = list(q.coeffs)
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+    for p in reference_divisors(int(coeffs[0])):
+        for den in reference_divisors(int(coeffs[-1])):
+            if q(Fraction(p, den)) == 0:
+                root = Fraction(p, den)
+                return CriticalConstant(d, root, root, Fraction(0), Fraction(0), True)
+    lo = Fraction(1, 1024)
+    while q(lo) <= 0:
+        if q(lo) == 0:
+            return CriticalConstant(d, lo, lo, Fraction(0), Fraction(0), True)
+        lo /= 2
+    hi = Fraction(d)
+    while q(hi) >= 0:
+        if q(hi) == 0:
+            return CriticalConstant(d, hi, hi, Fraction(0), Fraction(0), True)
+        hi *= 2
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v = q(mid)
+        if v == 0:
+            return CriticalConstant(d, mid, mid, Fraction(0), Fraction(0), True)
+        if v > 0:
+            lo = mid
+        else:
+            hi = mid
+    return CriticalConstant(d, lo, hi, q(lo), q(hi), False)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ import hashlib
 import io
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
-from regmatch.cli import build_parser, main
+from regmatch.cli import _check_cd_work, build_parser, main
 from regmatch.graphs import complete, encode_graph6, generate_connected_regular
 from regmatch.matchpoly import _MAX_FRONTIER_WIDTH
 
@@ -238,6 +239,10 @@ def test_verify_rejects_nonpositive_step_and_precision(capsys, argv):
     ["verify", "--d", "3", "--nmax", "4", "--grid-step", "1/100", "--grid-max", "1000000"],
     ["verify", "--d", "3", "--nmax", "4", "--grid-step", "1e-30000"],
     ["verify", "--lambda", "1e-999999999"],
+    ["cd", "--dmax", "15", "--width", "1e-1233"],
+    ["cd", "--dmax", "61", "--width", "1e-300"],
+    ["cd", "--dmax", "201", "--width", "1e-300"],
+    ["cd", "--dmax", "201", "--width", "1e-100"],
 ])
 def test_bad_input_exits_two_without_traceback(monkeypatch, capsys, argv):
     # these once raised IndexError, ValueError, FileNotFoundError or (for
@@ -247,7 +252,8 @@ def test_bad_input_exits_two_without_traceback(monkeypatch, capsys, argv):
     # was refused only after generating every size below it); a rational of
     # 30000 digits crashed when the report turned it into a string, and a
     # 3000-digit width, a million grid points or a decimal exponent of nine
-    # digits ran unbounded
+    # digits ran unbounded; `cd` with both --dmax and --width large ran for
+    # minutes although each alone was bounded
     # `poly` reads K_{cap+2} from stdin, whose frontier width is past the
     # matching-polynomial DP's cap
     monkeypatch.setattr("sys.stdin", io.StringIO(
@@ -358,6 +364,9 @@ _GOLDEN_REPORTS = {
         "20c226feddcdaaf9569121cf6089a89941c3dcbf5fe43cca880e2a66c311bbfb",
     ("polytope", "--d", "4", "--nmax", "8"):
         "4ed4ba17e824657aad32609cfeaf287208fdac86de3ce7ee97730ba105d1bc29",
+    ("cd", "--dmax", "41"): "7f646107baf1949ceaa698a0f53c5ce5bd06981c27f040c34b9685885027c582",
+    ("cd", "--dmax", "15", "--width", "1e-40"):
+        "515b54c80e156d9c2b1e701a537e71ffbadc1f38a5ce4ebb890dbd7cb5827f89",
 }
 
 
@@ -369,6 +378,14 @@ def test_report_matches_golden_digest(capsys, argv):
     report.pop("wall_clock_seconds")
     text = json.dumps(report, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_REPORTS[argv]
+
+
+def test_cd_work_bound_keeps_each_option_alone():
+    for dmax, width in ((201, "1e-10"), (201, "1e-30"), (9, "1e-1233"), (13, "1e-1233")):
+        _check_cd_work(dmax, Fraction(width))
+    for dmax, width in ((15, "1e-1233"), (201, "1e-100")):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _check_cd_work(dmax, Fraction(width))
 
 
 def test_cd_table(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import reference_critical_constant, reference_divisors
 from regmatch.errors import DomainError
 from regmatch.graphs import (
     complete,
@@ -17,6 +18,8 @@ from regmatch.graphs import (
 )
 from regmatch.matchpoly import gen_poly_value, matching_gen_poly
 from regmatch.necklace import (
+    _DIVISOR_CAP,
+    _divisors,
     critical_constant,
     discriminant,
     necklace_partition_via_trace,
@@ -180,6 +183,27 @@ def test_critical_constant_brackets_certified():
 def test_critical_constant_c5_value():
     c5 = critical_constant(5)
     assert abs(c5.midpoint - Fraction("1.317124345")) < Fraction(1, 10 ** 8)
+
+
+def test_critical_constant_matches_fraction_reference():
+    for width in (Fraction(1, 10 ** 10), Fraction(1, 10 ** 40)):
+        for d in range(3, 62, 2):
+            assert critical_constant(d, width) == reference_critical_constant(d, width)
+
+
+def test_divisors_match_trial_division():
+    near_cap = [
+        2 ** 12 * 5 ** 12,          # the cap itself, smooth
+        2 ** 39, 3 ** 25,           # prime powers
+        2 ** 6 * 3 ** 5 * 5 ** 3 * 7 ** 2 * 11 * 13 * 17,
+        999_999_999_989,            # the largest prime below 10^12
+        999_983 ** 2,               # the square of the largest prime below 10^6
+        999_983 * 999_979,
+    ]
+    for n in [0, -1, -12, -97, -999_983 ** 2, *range(1, 20_001), *near_cap]:
+        assert _divisors(n) == reference_divisors(n)
+    for n in (_DIVISOR_CAP + 1, -_DIVISOR_CAP - 1, 2 ** 40, 10 ** 13 + 37):
+        assert _divisors(n) == reference_divisors(n) == []
 
 
 def test_critical_constant_domain():

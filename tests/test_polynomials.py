@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from regmatch.polynomials import (
     Poly,
+    _scaled_horner,
     count_distinct_real_roots,
     count_real_roots_with_multiplicity,
     poly_divmod,
@@ -25,6 +26,17 @@ def test_construction_trims_leading_zeros():
     assert Poly([0]).is_zero()
     assert Poly([]).degree == -1
     assert Poly([0, 0, 5]).degree == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=12),
+       st.integers(-10 ** 40, 10 ** 40),
+       st.one_of(st.integers(1, 10 ** 20), st.integers(0, 200).map(lambda e: 1 << e)))
+def test_scaled_horner_is_the_scaled_fraction_value(coeffs, p, q):
+    # q a power of two takes the shifting branch, any other q the multiplying one
+    value = _scaled_horner(coeffs, p, q)
+    assert value == Poly(coeffs)(Fraction(p, q)) * q ** max(len(coeffs) - 1, 0)
+    assert type(value) is int
 
 
 def test_arithmetic_basics():

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     closed_walks_by_power,
@@ -10,7 +12,7 @@ from oracles import (
     truncated_tree_adj,
 )
 from regmatch.errors import CapacityError, DomainError
-from regmatch.graphs import complete, cycle, diamond, path_graph, petersen
+from regmatch.graphs import Graph, complete, cycle, diamond, path_graph, petersen
 from regmatch.matchpoly import matching_gen_poly
 from regmatch.walks import (
     build_path_tree,
@@ -76,6 +78,32 @@ def test_closed_walks_match_matrix_power():
 def test_walk_total_known_value():
     # total tree-like walks of length 6 in K_4 equals the 6th root power sum
     assert tree_like_walk_total(complete(4), 6) == 324
+
+
+@st.composite
+def graphs_and_lengths(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=2 * n)) if pairs else ()
+    g = Graph(n, edges)
+    # the oracle's path trees grow like (max degree)^k: keep them small
+    kmax = 6 if max(g.degrees()) <= 4 else 4
+    return g, 2 * draw(st.integers(1, kmax))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_and_lengths())
+def test_walk_total_equals_path_tree_walks(case):
+    g, length = case
+    k = length // 2
+    assert tree_like_walk_total(g, length) == sum(
+        closed_walks_at_root(build_path_tree(g, u, depth=k), length) for u in range(g.n))
+
+
+def test_walk_total_cap_without_recursion(monkeypatch):
+    monkeypatch.setattr("regmatch.walks._PATH_TREE_CAP", 1000)
+    with pytest.raises(CapacityError):
+        tree_like_walk_total(path_graph(1500), 3000)
 
 
 def test_walk_total_requires_even_positive():
