@@ -26,7 +26,7 @@ import mpmath
 
 from . import __version__
 from .certified import DEFAULT_BITS, Enclosure, Verdict, _check_bits
-from .errors import CapacityError, DomainError, Graph6ParseError, NoGraphsError, RegmatchError
+from .errors import DomainError, Graph6ParseError, NoGraphsError, RegmatchError
 from .graphs import (
     Graph,
     canonical_key,
@@ -35,7 +35,6 @@ from .graphs import (
     diamond,
     diamond_necklace,
     generate_connected_regular,
-    generation_cap,
     necklace_cover,
     parse_graph6,
     petersen,
@@ -51,7 +50,7 @@ from .minimax import (
     lambda_interval,
     remez_best_approx,
 )
-from .necklace import critical_constant, discriminant, necklace_partition_via_trace, transfer_matrix
+from .necklace import critical_constant, necklace_partition_via_trace, transfer_matrix
 from .polytope import edmonds_check, even_d_threshold, matching_lower_bound_check
 from .series_bounds import verify_inequality
 from .walks import graph_power_sums, infinite_tree_power_sums, power_sums_newton
@@ -275,21 +274,25 @@ def _read_graph_inputs(paths: list[str]) -> list[tuple[str, str, int, Graph]]:
 
 def _corpus(d: int, nmax: int) -> list[Graph]:
     # K_{d+1} is the only connected d-regular graph for d = 0 and 1, so no
-    # larger n is tried; for d >= 2 refuse before generating the sizes below
-    # the cap (a negative d is refused by the generator)
-    cap = generation_cap(d)
+    # larger n is tried; sizes run downward, so the generator refuses one
+    # past its cap (or a degree without one) before any size is generated
     if d in (0, 1):
         nmax = min(nmax, d + 1)
-    elif d >= 2 and any(n * d % 2 == 0 and (cap is None or n > cap)
-                        for n in range(d + 1, nmax + 1)):
-        raise CapacityError(f"--nmax {nmax} above the generation cap for d={d}")
     graphs = []
-    for n in range(d + 1, nmax + 1):
+    for n in range(nmax, d, -1):
         try:
             graphs.extend(generate_connected_regular(n, d))
         except NoGraphsError:
             continue
     return graphs
+
+
+def _keyed(cmd: _Command, graphs: list[Graph]) -> list[tuple[str, Graph]]:
+    """The graphs with their canonical keys, sorted by key; the keys'
+    checksum goes into the report."""
+    entries = sorted(((canonical_key(g), g) for g in graphs), key=lambda kv: kv[0])
+    cmd.checksums["corpus"] = _corpus_checksum([key for key, _ in entries])
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +371,7 @@ def _cmd_verify(args) -> int:
         if args.d != 3:
             raise argparse.ArgumentTypeError("necklace rows require --d 3")
         graphs.extend(diamond_necklace(k) for k in range(2, args.include_necklaces + 1))
-    entries = sorted(((canonical_key(g), g) for g in graphs), key=lambda kv: kv[0])
-    cmd.checksums["corpus"] = _corpus_checksum([key for key, _ in entries])
+    entries = _keyed(cmd, graphs)
     counts = {Verdict.HOLDS: 0, Verdict.FAILS: 0, Verdict.INCONCLUSIVE: 0}
     for key, g in entries:
         worst = None
@@ -508,10 +510,9 @@ def _cmd_necklace(args) -> int:
         "kmax": args.kmax,
     })
     tm = transfer_matrix(base, u, v)
-    disc = discriminant(base, u, v)
     cmd.say(f"base {canonical_key(base)} edge ({u},{v})")
     cmd.say("trace(B) coefficients: " + " ".join(str(c) for c in tm.trace_poly().coeffs))
-    cmd.say("det(B) coefficients:   " + " ".join(str(c) for c in disc.coeffs))
+    cmd.say("det(B) coefficients:   " + " ".join(str(c) for c in tm.det_poly().coeffs))
     for k in range(2, args.kmax + 1):
         via_trace = necklace_partition_via_trace(tm, k)
         direct = matching_gen_poly(necklace_cover(base, (u, v), k))
@@ -537,8 +538,7 @@ def _cmd_polytope(args) -> int:
     graphs = _corpus(d, args.nmax)
     if not args.include_complete:
         graphs = [g for g in graphs if g.n != d + 1]
-    entries = sorted(((canonical_key(g), g) for g in graphs), key=lambda kv: kv[0])
-    cmd.checksums["corpus"] = _corpus_checksum([key for key, _ in entries])
+    entries = _keyed(cmd, graphs)
     thr = even_d_threshold(d)
     cmd.say(f"T({d}) = {thr.units} ln({d + 1}) = {mpmath.nstr(thr.threshold_value, 8)}, "
             f"coefficient gap {thr.gap}")

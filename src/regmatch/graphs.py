@@ -530,10 +530,6 @@ def diamond_necklace(k: int) -> Graph:
 _GENERATION_CAPS = {1: 2, 2: 24, 3: 14, 4: 11, 5: 10, 6: 9, 7: 8}
 
 
-def generation_cap(d: int) -> int | None:
-    return _GENERATION_CAPS.get(d)
-
-
 def _prefix_is_canonical(k: int, adj: Sequence[int], cols: Sequence[int]) -> bool:
     """True if no labeling of the subgraph induced on positions 0..k-1 has a
     larger column-major vector than the identity, whose level-j key is

@@ -253,8 +253,12 @@ def ladder_verify(ladder=DEFAULT_LADDER, base_cap: Fraction = BASE_CAP,
     leaves the frontier where it was."""
     if not ladder:
         raise DomainError("empty ladder")
+    if base_cap < 0:
+        raise DomainError(f"negative base cap: {base_cap}")
     with mp.workdps(dps):
         target = mpf(str(target))
+        if target <= 0:
+            raise DomainError(f"target must be positive: {target}")
         frontier = mpf(base_cap.numerator) / base_cap.denominator
         rows = []
         gaps = []

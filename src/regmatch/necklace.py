@@ -8,7 +8,10 @@ For an edge e = (u, v) of G the 2x2 matrix
 
 satisfies trace(B) = M(G) (edge recursion) and trace(B^k) = M of the
 k-fold necklace cover of G along e.  Its determinant lam (M(G-e) M(G-uv)
-- M(G-u) M(G-v)) controls whether necklaces beat or lose to G^k.
+- M(G-u) M(G-v)) controls whether necklaces beat or lose to G^k.  With
+T = trace(B) and D = det(B), Cayley-Hamilton (B^2 = T B - D I) gives the
+traces t_k = trace(B^k) as t_0 = 2, t_1 = T, t_k = T t_{k-1} - D t_{k-2},
+so no power of B is ever formed.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .errors import DomainError
 from .graphs import Graph
@@ -23,7 +27,6 @@ from .matchpoly import matching_gen_poly, q_complete, q_complete_minus_edge
 from .polynomials import Poly, _scaled_horner
 
 _X = Poly([0, 1])
-_DIVISOR_CAP = 10 ** 12  # _divisors gives up above it (trial division to 10^6 at worst)
 
 
 @dataclass(frozen=True)
@@ -34,11 +37,6 @@ class TransferMatrix:
     minus_u: Poly      # M(G - u)
     minus_v: Poly      # M(G - v)
     minus_both: Poly   # M(G - u - v)
-
-    @property
-    def entries(self) -> tuple[tuple[Poly, Poly], tuple[Poly, Poly]]:
-        return ((self.minus_edge, self.minus_u),
-                (_X * self.minus_v, _X * self.minus_both))
 
     def trace_poly(self) -> Poly:
         return self.minus_edge + _X * self.minus_both
@@ -61,22 +59,16 @@ def transfer_matrix(g: Graph, u: int, v: int) -> TransferMatrix:
     )
 
 
-def _mat_mul(a, b):
-    return ((a[0][0] * b[0][0] + a[0][1] * b[1][0],
-             a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0],
-             a[1][0] * b[0][1] + a[1][1] * b[1][1]))
-
-
 def necklace_partition_via_trace(tm: TransferMatrix, k: int) -> Poly:
-    """trace(B^k) = matching generating polynomial of the k-fold necklace."""
+    """trace(B^k) = matching generating polynomial of the k-fold necklace,
+    by t_j = T t_{j-1} - D t_{j-2} from t_0 = 2 and t_1 = T."""
     if k < 2:
         raise DomainError("necklace fold k must be >= 2")
-    b = tm.entries
-    power = b
+    t, det = tm.trace_poly(), tm.det_poly()
+    prev, cur = Poly.const(2), t
     for _ in range(k - 1):
-        power = _mat_mul(power, b)
-    return power[0][0] + power[1][1]
+        prev, cur = cur, t * cur - det * prev
+    return cur
 
 
 def discriminant(g: Graph, u: int, v: int) -> Poly:
@@ -132,11 +124,7 @@ def qd_alternate(d: int) -> Poly:
 
 
 def _double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+    return prod(range(n, 1, -2))
 
 
 @dataclass(frozen=True)
@@ -188,83 +176,43 @@ class CriticalConstant:
         return (self.lo + self.hi) / 2
 
 
-def _divisors(n: int) -> list[int]:
-    """Sorted positive divisors of |n| from its prime factorisation; empty
-    for 0 and above _DIVISOR_CAP."""
-    n = abs(n)
-    if n == 0 or n > _DIVISOR_CAP:
-        return []
-    out = [1]
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            pk, powers = 1, []
-            while n % p == 0:
-                n //= p
-                pk *= p
-                powers.append(pk)
-            out += [d * m for d in out for m in powers]
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out += [d * n for d in out]
-    return sorted(out)
-
-
-def _positive_rational_root(q: Poly) -> Fraction | None:
-    """Positive rational root via the rational root theorem, if any."""
-    coeffs = list(q.coeffs)
-    shift = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        shift += 1
-    if not coeffs:
-        return None
-    for p in _divisors(int(coeffs[0])):
-        for den in _divisors(int(coeffs[-1])):
-            if _scaled_horner(coeffs, p, den) == 0:
-                return Fraction(p, den)
-    return None
-
-
 def critical_constant(d: int, width=Fraction(1, 10 ** 10)) -> CriticalConstant:
     """Sign-certified bisection bracket of c_d, the unique positive root
-    of Q_d (odd d >= 3); exact rational roots are detected and returned
-    as zero-width brackets through d = 15 only.  The rational-root search
-    skips coefficients above _DIVISOR_CAP = 10^12, and the leading
-    coefficient of Q_d passes it from d = 17 on (Q_17's is
-    -4,108,830,350,625), so from there c_d is always a bracket."""
+    of Q_d (odd d >= 3), or the exact root as a zero-width bracket.
+
+    Q_d = lam R(lam) with R(0) = 1 and every coefficient of R >= 0 except
+    the negative leading one, so R has exactly one positive root (Descartes)
+    and, by the rational root theorem, a rational root of R is some 1/k.
+    Q_d(1) = 0 makes c_d = 1 exact (d = 3); Q_d(1) > 0 puts c_d above 1,
+    so c_d is irrational and no bisection point is ever a root.  Both
+    premises are checked here, for every d."""
     if d % 2 == 0 or d < 3:
         raise DomainError("c_d defined for odd d >= 3")
     width = Fraction(width)
+    if width <= 0:
+        raise DomainError(f"width must be positive: {width}")
     q = qd_recursive(d)
-    root = _positive_rational_root(q)
-    if root is not None:
-        return CriticalConstant(d, root, root, Fraction(0), Fraction(0), True)
+    r = q.coeffs[1:]
+    if (q[0] != 0 or r[0] != 1 or r[-1] >= 0 or any(c < 0 for c in r[1:-1])
+            or sum(r) < 0):
+        raise DomainError(f"Q_{d} is not lam R(lam) with R(0) = 1, one sign change"
+                          " and R(1) >= 0")
+    if sum(r) == 0:
+        return CriticalConstant(d, Fraction(1), Fraction(1), Fraction(0), Fraction(0), True)
 
     def val(x: Fraction) -> int:
-        """An integer with the sign of Q_d(x), zero with it."""
+        """An integer with the sign of Q_d(x)."""
         return _scaled_horner(q.coeffs, x.numerator, x.denominator)
 
     lo = Fraction(1, 1024)
-    while val(lo) <= 0:
-        if val(lo) == 0:
-            return CriticalConstant(d, lo, lo, Fraction(0), Fraction(0), True)
-        lo /= 2
-        if lo < Fraction(1, 2 ** 60):
-            raise DomainError(f"no positive bracket found for Q_{d}")
     hi = Fraction(d)
-    while val(hi) >= 0:
-        if val(hi) == 0:
-            return CriticalConstant(d, hi, hi, Fraction(0), Fraction(0), True)
+    while val(hi) > 0:
         hi *= 2
         if hi > 2 ** 30:
             raise DomainError(f"no sign change found for Q_{d}")
     while hi - lo > width:
         mid = (lo + hi) / 2
-        v = val(mid)
-        if v == 0:
-            return CriticalConstant(d, mid, mid, Fraction(0), Fraction(0), True)
-        if v > 0:
+        if val(mid) > 0:
             lo = mid
         else:
             hi = mid

@@ -28,8 +28,8 @@ from regmatch.graphs import (
     canonical_form,
     complete,
 )
-from regmatch.necklace import _DIVISOR_CAP, CriticalConstant, qd_recursive
-from regmatch.polynomials import _horner, _poly_mul
+from regmatch.necklace import CriticalConstant, TransferMatrix, qd_recursive
+from regmatch.polynomials import Poly, _horner, _poly_mul
 from regmatch.polytope import OddSetViolation
 
 
@@ -265,7 +265,22 @@ def truncated_tree_adj(d: int, depth: int) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Critical constants
+# Necklaces and critical constants
+
+def reference_trace_power(tm: TransferMatrix, k: int) -> Poly:
+    """trace(B^k) from k - 1 explicit products of the 2x2 polynomial
+    matrix B = [[M(G-e), M(G-u)], [lam M(G-v), lam M(G-uv)]]."""
+    x = Poly([0, 1])
+    b = ((tm.minus_edge, tm.minus_u), (x * tm.minus_v, x * tm.minus_both))
+    power = b
+    for _ in range(k - 1):
+        power = tuple(tuple(power[i][0] * b[0][j] + power[i][1] * b[1][j]
+                            for j in range(2)) for i in range(2))
+    return power[0][0] + power[1][1]
+
+
+_DIVISOR_CAP = 10 ** 12  # reference_divisors gives up above it
+
 
 def reference_divisors(n: int) -> list[int]:
     """Sorted positive divisors of |n| by trial division of every i up to
@@ -284,8 +299,9 @@ def reference_divisors(n: int) -> list[int]:
 
 
 def reference_critical_constant(d: int, width=Fraction(1, 10 ** 10)) -> CriticalConstant:
-    """c_d by the same rational-root search and bisection as the library,
-    with every zero and sign test a Fraction evaluation of Q_d."""
+    """c_d by a generic rational-root search over every divisor pair of
+    Q_d's end coefficients, then bisection, with every zero and sign test a
+    Fraction evaluation of Q_d."""
     width = Fraction(width)
     q = qd_recursive(d)
     coeffs = list(q.coeffs)

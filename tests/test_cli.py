@@ -243,6 +243,10 @@ def test_verify_rejects_nonpositive_step_and_precision(capsys, argv):
     ["cd", "--dmax", "61", "--width", "1e-300"],
     ["cd", "--dmax", "201", "--width", "1e-300"],
     ["cd", "--dmax", "201", "--width", "1e-100"],
+    ["ladder", "--target", "-1"],
+    ["ladder", "--target", "0"],
+    ["ladder", "--base-cap", "-1"],
+    ["verify", "--d", "9", "--nmax", "20"],
 ])
 def test_bad_input_exits_two_without_traceback(monkeypatch, capsys, argv):
     # these once raised IndexError, ValueError, FileNotFoundError or (for
@@ -253,7 +257,8 @@ def test_bad_input_exits_two_without_traceback(monkeypatch, capsys, argv):
     # 30000 digits crashed when the report turned it into a string, and a
     # 3000-digit width, a million grid points or a decimal exponent of nine
     # digits ran unbounded; `cd` with both --dmax and --width large ran for
-    # minutes although each alone was bounded
+    # minutes although each alone was bounded; `ladder` with a target <= 0
+    # read COVERED, and with a negative base cap read as a FAILS verdict
     # `poly` reads K_{cap+2} from stdin, whose frontier width is past the
     # matching-polynomial DP's cap
     monkeypatch.setattr("sys.stdin", io.StringIO(
@@ -367,6 +372,11 @@ _GOLDEN_REPORTS = {
     ("cd", "--dmax", "41"): "7f646107baf1949ceaa698a0f53c5ce5bd06981c27f040c34b9685885027c582",
     ("cd", "--dmax", "15", "--width", "1e-40"):
         "515b54c80e156d9c2b1e701a537e71ffbadc1f38a5ce4ebb890dbd7cb5827f89",
+    ("cd", "--dmax", "201"): "945e1565f8cb8ccdd0d60de6b83cd48441219c5c1df9a61b6588af8c5bbdee1d",
+    ("necklace", "--builtin", "k4", "--kmax", "12"):
+        "719cec5e0958718e51ff3c10bf82ee5f636c04fec48550d78e9f0b847d0188ca",
+    ("verify", "--d", "3", "--nmax", "12", "--lambda", "1/4"):
+        "9ab6e42d262508719dde5ab3ac3a8210d15658dff6f82d236526e3e1f156bfa2",
 }
 
 

@@ -26,6 +26,7 @@ from oracles import (
 from regmatch import graphs as graphs_module
 from regmatch.errors import CapacityError, Graph6ParseError, NoGraphsError, RegmatchError
 from regmatch.graphs import (
+    _GENERATION_CAPS,
     Graph,
     _canonical_order_masks,
     _prefix_is_canonical,
@@ -43,7 +44,6 @@ from regmatch.graphs import (
     disjoint_union,
     encode_graph6,
     generate_connected_regular,
-    generation_cap,
     isomorphic,
     max_matching,
     necklace_cover,
@@ -482,7 +482,7 @@ _AT_THE_CAPS = {
 @pytest.mark.parametrize("d", sorted(_AT_THE_CAPS))
 def test_generation_at_the_cap(d):
     n, count, digest = _AT_THE_CAPS[d]
-    assert n == generation_cap(d)
+    assert n == _GENERATION_CAPS[d]
     keys = [canonical_key(g) for g in generate_connected_regular(n, d)]
     assert len(keys) == count
     assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == digest
@@ -498,7 +498,7 @@ def test_generation_empty_families():
 
 
 def test_generation_cap_enforced():
-    cap = generation_cap(3)
+    cap = _GENERATION_CAPS[3]
     with pytest.raises(CapacityError):
         generate_connected_regular(cap + 2, 3)
 

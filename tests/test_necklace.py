@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import reference_critical_constant, reference_divisors
+from oracles import reference_critical_constant, reference_trace_power
 from regmatch.errors import DomainError
 from regmatch.graphs import (
+    Graph,
     complete,
     cycle,
     diamond,
@@ -18,8 +21,6 @@ from regmatch.graphs import (
 )
 from regmatch.matchpoly import gen_poly_value, matching_gen_poly
 from regmatch.necklace import (
-    _DIVISOR_CAP,
-    _divisors,
     critical_constant,
     discriminant,
     necklace_partition_via_trace,
@@ -42,9 +43,6 @@ def test_transfer_matrix_entries_k4():
     assert tm.minus_u == Poly([1, 3])
     assert tm.minus_v == Poly([1, 3])
     assert tm.minus_both == Poly([1, 1])
-    (a, b), (c, dd) = tm.entries
-    assert a == tm.minus_edge and b == tm.minus_u
-    assert c == X * tm.minus_v and dd == X * tm.minus_both
 
 
 def test_trace_is_edge_recurrence():
@@ -72,6 +70,42 @@ def test_trace_power_equals_cover_polynomial():
         for k in (2, 3):
             cover = necklace_cover(g, (u, v), k)
             assert necklace_partition_via_trace(tm, k) == matching_gen_poly(cover)
+
+
+_BUILTIN_BASES = [
+    (complete(2), (0, 1)),
+    (cycle(3), (0, 1)),
+    (complete(4), (0, 1)),
+    (diamond(), (0, 2)),
+    (petersen(), (0, 1)),
+    (prism(), (0, 1)),
+]
+
+
+def test_trace_recurrence_matches_matrix_powers():
+    for g, (u, v) in _BUILTIN_BASES:
+        tm = transfer_matrix(g, u, v)
+        for k in range(2, 13):
+            assert necklace_partition_via_trace(tm, k) == reference_trace_power(tm, k)
+
+
+@st.composite
+def graphs_with_edge(draw):
+    n = draw(st.integers(2, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), min_size=1))
+    u, v = draw(st.sampled_from(sorted(edges)))
+    if draw(st.booleans()):
+        u, v = v, u
+    return Graph(n, edges), u, v, draw(st.integers(2, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_edge())
+def test_trace_recurrence_matches_matrix_powers_random(case):
+    g, u, v, k = case
+    tm = transfer_matrix(g, u, v)
+    assert necklace_partition_via_trace(tm, k) == reference_trace_power(tm, k)
 
 
 def test_k4_necklace_is_diamond_necklace():
@@ -185,25 +219,27 @@ def test_critical_constant_c5_value():
     assert abs(c5.midpoint - Fraction("1.317124345")) < Fraction(1, 10 ** 8)
 
 
+def test_critical_constant_premises_hold():
+    # Q_d = lam R(lam), R(0) = 1, one sign change in R's coefficients, and
+    # Q_d(1) = 0 only at d = 3: what critical_constant checks at run time
+    for d in range(3, 202, 2):
+        q = qd_recursive(d)
+        assert q[0] == 0 and q[1] == 1
+        signs = [c > 0 for c in q.coeffs[1:] if c != 0]
+        assert sum(a != b for a, b in zip(signs, signs[1:])) == 1
+        assert (q(1) == 0) if d == 3 else (q(1) > 0)
+
+
+def test_critical_constant_rejects_nonpositive_width():
+    for width in (0, -1, Fraction(-1, 10 ** 10)):
+        with pytest.raises(DomainError):
+            critical_constant(5, width=width)
+
+
 def test_critical_constant_matches_fraction_reference():
     for width in (Fraction(1, 10 ** 10), Fraction(1, 10 ** 40)):
         for d in range(3, 62, 2):
             assert critical_constant(d, width) == reference_critical_constant(d, width)
-
-
-def test_divisors_match_trial_division():
-    near_cap = [
-        2 ** 12 * 5 ** 12,          # the cap itself, smooth
-        2 ** 39, 3 ** 25,           # prime powers
-        2 ** 6 * 3 ** 5 * 5 ** 3 * 7 ** 2 * 11 * 13 * 17,
-        999_999_999_989,            # the largest prime below 10^12
-        999_983 ** 2,               # the square of the largest prime below 10^6
-        999_983 * 999_979,
-    ]
-    for n in [0, -1, -12, -97, -999_983 ** 2, *range(1, 20_001), *near_cap]:
-        assert _divisors(n) == reference_divisors(n)
-    for n in (_DIVISOR_CAP + 1, -_DIVISOR_CAP - 1, 2 ** 40, 10 ** 13 + 37):
-        assert _divisors(n) == reference_divisors(n) == []
 
 
 def test_critical_constant_domain():
