@@ -33,7 +33,6 @@ from .graphs import (
     max_matching,
     necklace_cover,
     parse_graph6,
-    parse_graph6_lines,
     petersen,
     prism,
 )
@@ -125,7 +124,6 @@ __all__ = [
     "necklace_partition_via_trace",
     "negative_lambda_sandwich",
     "parse_graph6",
-    "parse_graph6_lines",
     "pd_direct",
     "petersen",
     "power_sums_newton",

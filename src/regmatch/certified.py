@@ -59,27 +59,14 @@ class Enclosure:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __add__(self, other) -> "Enclosure":
-        other = _coerce(other)
+    def __add__(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(self.lo + other.lo, self.hi + other.hi)
-
-    __radd__ = __add__
 
     def __neg__(self) -> "Enclosure":
         return Enclosure(-self.hi, -self.lo)
 
-    def __sub__(self, other) -> "Enclosure":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "Enclosure":
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other) -> "Enclosure":
-        other = _coerce(other)
-        prods = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
-        return Enclosure(min(prods), max(prods))
-
-    __rmul__ = __mul__
+    def __sub__(self, other: "Enclosure") -> "Enclosure":
+        return self + (-other)
 
     def __truediv__(self, other) -> "Enclosure":
         q = Fraction(other)
@@ -89,23 +76,8 @@ class Enclosure:
             return Enclosure(self.lo / q, self.hi / q)
         return Enclosure(self.hi / q, self.lo / q)
 
-    def certainly_gt(self, x) -> bool:
-        return self.lo > Fraction(x)
-
-    def certainly_lt(self, x) -> bool:
-        return self.hi < Fraction(x)
-
-    def contains(self, x) -> bool:
-        return self.lo <= Fraction(x) <= self.hi
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
-
-
-def _coerce(x) -> Enclosure:
-    if isinstance(x, Enclosure):
-        return x
-    return Enclosure.exact(x)
 
 
 def _mpf_to_fraction(raw) -> Fraction:

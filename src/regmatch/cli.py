@@ -25,8 +25,8 @@ from fractions import Fraction
 import mpmath
 
 from . import __version__
-from .certified import DEFAULT_BITS, Enclosure, Verdict, _check_bits
-from .errors import DomainError, Graph6ParseError, NoGraphsError, RegmatchError
+from .certified import DEFAULT_BITS, MAX_BITS, Enclosure, Verdict
+from .errors import Graph6ParseError, NoGraphsError, RegmatchError
 from .graphs import (
     Graph,
     canonical_key,
@@ -97,7 +97,7 @@ def _positive(parse):
 
 def _bounded(lo: int, hi: int):
     """argparse type: an integer in lo..hi, so no option asks for unbounded
-    work (each hi is set where a run takes about 10 s)."""
+    work (each hi is set where a run takes about 10 s, or at a library limit)."""
     def bounded(text: str) -> int:
         value = int(text)
         if not lo <= value <= hi:
@@ -110,18 +110,6 @@ def _bounded(lo: int, hi: int):
 # lambda_interval needs c_3 and c_4; degree 10 converges, `remez --a 0.2`
 # in about 0.3 s and `ladder` in about 3 s
 _DEGREE = _bounded(4, 10)
-
-
-def _precision_bits(text: str) -> int:
-    """argparse type: a starting precision, held to the library's range."""
-    try:
-        bits = int(text)
-        _check_bits(bits)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return bits
 
 
 _REAL_MAX = 1000  # far past the ladder's 2.87; Remez turns singular near 1e20
@@ -257,7 +245,8 @@ def _read_graph_inputs(paths: list[str]) -> list[tuple[str, str, int, Graph]]:
             name, text = "stdin", sys.stdin.read()
         else:
             name = path
-            with open(path, "r", encoding="ascii") as fh:
+            # as on stdin, parse_graph6 names a non-ASCII byte's line and offset
+            with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
                 text = fh.read()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -402,9 +391,12 @@ def _cmd_verify(args) -> int:
 def _cmd_ladder(args) -> int:
     ladder = DEFAULT_LADDER
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            ladder = tuple(_real(line.split("#", 1)[0].strip()) for line in fh
-                           if line.split("#", 1)[0].strip())
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                ladder = tuple(_real(line.split("#", 1)[0].strip()) for line in fh
+                               if line.split("#", 1)[0].strip())
+        except UnicodeDecodeError:
+            raise argparse.ArgumentTypeError(f"{args.config}: not UTF-8 text") from None
     cmd = _Command("ladder", args, {
         "ladder": list(ladder),
         "degree": args.degree,
@@ -496,7 +488,7 @@ def _cmd_cd(args) -> int:
 
 
 def _necklace_base(args) -> Graph:
-    if args.graph6:
+    if args.graph6 is not None:
         return parse_graph6(args.graph6)
     return _BUILTIN_GRAPHS[args.builtin]()
 
@@ -609,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluation point p/q or decimal (repeatable)")
     p.add_argument("--grid-step", type=_positive(_rational), default=Fraction(1, 400))
     p.add_argument("--grid-max", type=_rational, default=Fraction(143, 400))
-    p.add_argument("--precision-bits", type=_precision_bits, default=DEFAULT_BITS)
+    p.add_argument("--precision-bits", type=_bounded(1, MAX_BITS), default=DEFAULT_BITS)
     p.add_argument("--include-necklaces", type=_bounded(0, 11), default=0, metavar="KMAX",
                    help="also sweep diamond necklaces DN_2..DN_KMAX (d=3)")
     common(p)
@@ -666,10 +658,7 @@ def main(argv=None) -> int:
         source = getattr(exc, "source", "input")
         print(f"error: {source}: {exc}", file=sys.stderr)
         return 2
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RegmatchError, OSError) as exc:
+    except (argparse.ArgumentTypeError, RegmatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -177,23 +177,18 @@ def parse_graph6(text: str | bytes, line: int | None = None) -> Graph:
             len(data), line)
     if len(body) > nbytes:
         raise Graph6ParseError("trailing data after bit vector", 1 + nbytes, line)
+    for offset, byte in enumerate(body, start=1):
+        if not 63 <= byte <= 126:
+            raise Graph6ParseError(f"invalid data byte {byte}", offset, line)
     edges = []
     bit = 0
     for j in range(1, n):
         for i in range(j):
-            byte = body[bit // 6]
-            if not (63 <= byte <= 126):
-                raise Graph6ParseError(f"invalid data byte {byte}", 1 + bit // 6, line)
-            if (byte - 63) >> (5 - bit % 6) & 1:
+            if (body[bit // 6] - 63) >> (5 - bit % 6) & 1:
                 edges.append((i, j))
             bit += 1
-    if nbytes:
-        last = body[-1]
-        if not (63 <= last <= 126):
-            raise Graph6ParseError(f"invalid data byte {last}", nbytes, line)
-        pad = 6 * nbytes - nbits
-        if (last - 63) & ((1 << pad) - 1):
-            raise Graph6ParseError("nonzero padding bits", nbytes, line)
+    if nbytes and (body[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
+        raise Graph6ParseError("nonzero padding bits", nbytes, line)
     return Graph(n, edges)
 
 
@@ -214,15 +209,6 @@ def encode_graph6(g: Graph) -> str:
     if nbits:
         chunks.append(chr(63 + (acc << (6 - nbits))))
     return "".join(chunks)
-
-
-def parse_graph6_lines(text: str) -> list[Graph]:
-    """Decode a corpus file: one graph6 string per line, blanks ignored."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.strip():
-            out.append(parse_graph6(raw.strip(), line=lineno))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -70,10 +70,6 @@ class Poly:
     def const(cls, c) -> "Poly":
         return cls((c,))
 
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -148,12 +144,6 @@ class Poly:
             k >>= 1
         return result
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return Poly((0,) * k + self.coeffs)
-
     def __call__(self, x):
         return _horner(self.coeffs, x)
 
@@ -186,23 +176,17 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Euclidean division over the rationals: a = q*b + r, deg r < deg b."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(c) for c in a.coeffs]
-    q = [Fraction(0)] * max(len(r) - len(b.coeffs) + 1, 0)
-    blead = Fraction(b.leading)
-    db = b.degree
-    while len(r) - 1 >= db and any(r):
-        # strip exact-zero leading entries introduced by cancellation
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        shift = len(r) - 1 - db
-        factor = r[-1] / blead
-        q[shift] = factor
-        for i, c in enumerate(b.coeffs):
-            r[shift + i] -= factor * c
-        r.pop()
-    return Poly(q), Poly(r)
+    r = list(a.coeffs)
+    db, blead = b.degree, Fraction(b.leading)
+    q = [0] * max(len(r) - db, 0)
+    # one pass from the top: step `shift` reads q[shift] off r[shift + db],
+    # which no later step reads, so it is left as is; only r[:db] is kept
+    for shift in reversed(range(len(q))):
+        factor = q[shift] = r[shift + db] / blead
+        if factor:
+            for i, c in zip(range(shift, shift + db), b.coeffs):
+                r[i] -= factor * c
+    return Poly(q), Poly(r[:db])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -277,15 +261,14 @@ def _sturm_count(sf: Poly, lo, hi) -> int:
     0 when lo >= hi."""
     a = "-inf" if lo is None else Fraction(lo)
     b = "+inf" if hi is None else Fraction(hi)
-    for endpoint in (a, b):
-        if endpoint not in ("-inf", "+inf") and sf(endpoint) == 0:
+    chain = sturm_chain(sf)
+    sa, sb = _chain_signs_at(chain, a), _chain_signs_at(chain, b)
+    for endpoint, signs in ((a, sa), (b, sb)):
+        if signs[0] == 0:  # chain[0] is sf itself
             raise ValueError(f"interval endpoint {endpoint} is a root")
     if lo is not None and hi is not None and a >= b:
         return 0
-    chain = sturm_chain(sf)
-    va = _variations(_chain_signs_at(chain, a))
-    vb = _variations(_chain_signs_at(chain, b))
-    return va - vb
+    return _variations(sa) - _variations(sb)
 
 
 def count_distinct_real_roots(p: Poly, lo=None, hi=None) -> int:

@@ -293,10 +293,6 @@ def negative_lambda_sandwich(g: Graph, d: int, lam,
     value_k = q_complete(d + 1)(lam)
     if value_k <= 0:
         raise DomainError(f"M_K_{d+1}({lam}) = {value_k} is not positive")
-    if lam == 0:
-        zero = Enclosure.exact(0)
-        return SandwichReport(lam, Verdict.HOLDS, Verdict.HOLDS, zero, zero,
-                              True, bits)
     # both sides need G's per-vertex log, at the same precisions
     graph_log = cache(_per_vertex_log(value_g, g.n))
     # upper side is exact: (1/n) ln M_G <= (1/(d+1)) ln M_K

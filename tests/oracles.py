@@ -18,7 +18,7 @@ from typing import Sequence
 import mpmath
 from mpmath import mpf
 
-from regmatch.errors import CapacityError, NoGraphsError
+from regmatch.errors import CapacityError, Graph6ParseError, NoGraphsError
 from regmatch.graphs import (
     _GENERATION_CAPS,
     Graph,
@@ -631,3 +631,78 @@ def reference_error_extrema(coeffs, A) -> list:
         prev_x, prev_s = x, s
     points.append(A)
     return points
+
+
+# ---------------------------------------------------------------------------
+# Polynomial division and the graph6 decoder
+
+def reference_poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """a = q*b + r with deg r < deg b, over Fractions: each step strips the
+    zero leading entries of the remainder and cancels its leading term.
+
+    The loop that polynomials.poly_divmod's single pass replaced."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    r = [Fraction(c) for c in a.coeffs]
+    q = [Fraction(0)] * max(len(r) - len(b.coeffs) + 1, 0)
+    blead = Fraction(b.leading)
+    db = b.degree
+    while len(r) - 1 >= db and any(r):
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) - 1 < db:
+            break
+        shift = len(r) - 1 - db
+        factor = r[-1] / blead
+        q[shift] = factor
+        for i, c in enumerate(b.coeffs):
+            r[shift + i] -= factor * c
+        r.pop()
+    return Poly(q), Poly(r)
+
+
+def reference_parse_graph6(text: str | bytes, line: int | None = None) -> Graph:
+    """One short-form graph6 line, decoded bit by bit with each data byte's
+    range checked at every one of its bits, then the padding bits.
+
+    The decoder that graphs.parse_graph6's single range check replaced."""
+    if isinstance(text, str):
+        try:
+            data = text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6ParseError("non-ASCII character", exc.start, line) from None
+    else:
+        data = bytes(text)
+    data = data.rstrip(b"\r\n")
+    if not data:
+        raise Graph6ParseError("empty input", 0, line)
+    head = data[0]
+    if head == 126:
+        raise Graph6ParseError("long-form header (n > 62) unsupported", 0, line)
+    if not 63 <= head <= 63 + 62:
+        raise Graph6ParseError(f"invalid header byte {head}", 0, line)
+    n = head - 63
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    body = data[1:]
+    if len(body) < nbytes:
+        raise Graph6ParseError(
+            f"truncated bit vector ({nbytes} data bytes expected, {len(body)} found)",
+            len(data), line)
+    if len(body) > nbytes:
+        raise Graph6ParseError("trailing data after bit vector", 1 + nbytes, line)
+    edges = []
+    bit = 0
+    for j in range(1, n):
+        for i in range(j):
+            byte = body[bit // 6]
+            if not 63 <= byte <= 126:
+                raise Graph6ParseError(f"invalid data byte {byte}", 1 + bit // 6, line)
+            if (byte - 63) >> (5 - bit % 6) & 1:
+                edges.append((i, j))
+            bit += 1
+    if nbytes:
+        pad = 6 * nbytes - nbits
+        if (body[-1] - 63) & ((1 << pad) - 1):
+            raise Graph6ParseError("nonzero padding bits", nbytes, line)
+    return Graph(n, edges)

@@ -50,6 +50,35 @@ def test_poly_malformed_names_line(tmp_path, capsys):
     assert code == 2
     assert "bad.g6" in err
     assert "line 2" in err
+    # blank lines are skipped but still counted
+    path.write_text("C~\n\nA_\nC\n")
+    code, out, err = run(capsys, "poly", str(path))
+    assert code == 2
+    assert err == (f"error: {path}: truncated bit vector "
+                   "(1 data bytes expected, 0 found) (line 4, byte 1)\n")
+
+
+def test_poly_undecodable_file_names_line_and_byte(tmp_path, monkeypatch, capsys):
+    # a non-ASCII byte once escaped as an internal error (exit 3) from a
+    # file, while the same bytes on stdin gave a parse error
+    path = tmp_path / "utf8.g6"
+    path.write_bytes(b"C~\n\xc3\xa9\n")
+    code, out, err = run(capsys, "poly", str(path))
+    assert code == 2
+    assert err == f"error: {path}: non-ASCII character (line 2, byte 0)\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(path.read_bytes()), encoding="utf-8", errors="surrogateescape"))
+    code, out, err = run(capsys, "poly")
+    assert code == 2
+    assert err == "error: stdin: non-ASCII character (line 2, byte 0)\n"
+
+
+def test_ladder_undecodable_config_names_file(tmp_path, capsys):
+    path = tmp_path / "ladder.cfg"
+    path.write_bytes(b"0.2\n\xff\n")
+    code, out, err = run(capsys, "ladder", "--config", str(path))
+    assert code == 2
+    assert err == f"error: {path}: not UTF-8 text\n"
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +237,17 @@ def test_verify_rejects_nonpositive_step_and_precision(capsys, argv):
     assert "error: argument --" in err
 
 
+@pytest.mark.parametrize("value, message", [
+    ("0", "must be in 1..1024: '0'"),
+    ("abc", "invalid int value: 'abc'"),
+])
+def test_precision_bits_names_its_range(capsys, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--precision-bits", value])
+    assert exc.value.code == 2
+    assert f"error: argument --precision-bits: {message}\n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["necklace", "--edge", "5,0"],
     ["necklace", "--edge=-1,0"],
@@ -247,6 +287,7 @@ def test_verify_rejects_nonpositive_step_and_precision(capsys, argv):
     ["ladder", "--target", "0"],
     ["ladder", "--base-cap", "-1"],
     ["verify", "--d", "9", "--nmax", "20"],
+    ["necklace", "--graph6", ""],
 ])
 def test_bad_input_exits_two_without_traceback(monkeypatch, capsys, argv):
     # these once raised IndexError, ValueError, FileNotFoundError or (for

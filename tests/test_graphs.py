@@ -22,8 +22,10 @@ from oracles import (
     labeled_regular_graphs,
     reference_canonical_order_masks,
     reference_generate_connected_regular,
+    reference_parse_graph6,
 )
 from regmatch import graphs as graphs_module
+from regmatch.cli import _read_graph_inputs
 from regmatch.errors import CapacityError, Graph6ParseError, NoGraphsError, RegmatchError
 from regmatch.graphs import (
     _GENERATION_CAPS,
@@ -49,7 +51,6 @@ from regmatch.graphs import (
     necklace_cover,
     neighborhood_edge_counts,
     parse_graph6,
-    parse_graph6_lines,
     path_graph,
     petersen,
     prism,
@@ -190,13 +191,56 @@ def test_graph6_padding_must_be_zero():
         parse_graph6("A" + chr(63 + 1))   # stray padding bit
 
 
-def test_graph6_lines_reports_line_numbers():
-    text = "C~\n\nA_\nC\n"
+def test_graph6_lines_reports_line_numbers(tmp_path):
+    # the multi-line reader skips blank lines but still counts them
+    path = tmp_path / "corpus.g6"
+    path.write_text("C~\n\nA_\nC\n")
     with pytest.raises(Graph6ParseError) as err:
-        parse_graph6_lines(text)
+        _read_graph_inputs([str(path)])
     assert err.value.line == 4
-    parsed = parse_graph6_lines("C~\nA_\n")
-    assert [g.n for g in parsed] == [4, 2]
+    assert err.value.source == str(path)
+    path.write_text("C~\nA_\n")
+    parsed = _read_graph_inputs([str(path)])
+    assert [(lineno, g.n) for _, _, lineno, g in parsed] == [(1, 4), (2, 2)]
+
+
+_BYTE = st.one_of(st.integers(0, 255), st.sampled_from((62, 63, 126, 127)))
+
+
+@st.composite
+def mutated_graph6(draw):
+    """An encoded graph with up to three bytes set, inserted or deleted, at
+    any position but most often the header, the first or the last data byte,
+    and an optional line ending."""
+    data = bytearray(encode_graph6(draw(graph6_graphs())).encode("ascii"))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(("set", "insert", "delete")))
+        pos = draw(st.one_of(st.sampled_from((0, 1, len(data) - 1, len(data))),
+                             st.integers(0, len(data))))
+        if op == "delete":
+            del data[pos:pos + 1]
+        elif op == "insert":
+            data.insert(pos, draw(_BYTE))
+        else:
+            data[pos:pos + 1] = bytes([draw(_BYTE)])
+    return bytes(data) + draw(st.sampled_from((b"", b"\n", b"\r\n")))
+
+
+def _parse_outcome(parse, text, line):
+    try:
+        return parse(text, line=line)
+    except Graph6ParseError as exc:
+        return str(exc), exc.offset, exc.line
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_graph6(), st.sampled_from((None, 1, 7)))
+def test_graph6_decoder_matches_the_reference(data, line):
+    # the same graph, or the same message, offset and line, for the bytes
+    # and for the text they decode to byte for byte
+    for text in (data, data.decode("latin-1")):
+        assert (_parse_outcome(parse_graph6, text, line)
+                == _parse_outcome(reference_parse_graph6, text, line))
 
 
 def test_graph6_non_ascii():

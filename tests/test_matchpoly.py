@@ -81,15 +81,16 @@ def test_q_complete_matches_direct():
     for n in range(15):
         assert q_complete(n) == matching_gen_poly(complete(n))
     # recursion q_n = q_{n-1} + (n-1) x q_{n-2}
-    x = Poly.x()
+    x = Poly([0, 1])
     for n in range(2, 12):
         assert q_complete(n) == q_complete(n - 1) + (n - 1) * x * q_complete(n - 2)
 
 
 def test_q_complete_minus_edge():
+    x = Poly([0, 1])
     for n in range(2, 10):
         assert q_complete_minus_edge(n) == matching_gen_poly(complete_minus_edge(n))
-        assert q_complete_minus_edge(n) == q_complete(n - 1) + (n - 2) * Poly.x() * q_complete(n - 2)
+        assert q_complete_minus_edge(n) == q_complete(n - 1) + (n - 2) * x * q_complete(n - 2)
 
 
 def test_mu_transform():

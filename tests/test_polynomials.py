@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_poly_divmod
 
 from regmatch.polynomials import (
     Poly,
@@ -18,7 +19,7 @@ from regmatch.polynomials import (
     sturm_chain,
 )
 
-X = Poly.x()
+X = Poly([0, 1])
 
 
 def test_construction_trims_leading_zeros():
@@ -46,7 +47,7 @@ def test_arithmetic_basics():
     assert p - p == Poly([])
     assert (p * q)(Fraction(7, 3)) == p(Fraction(7, 3)) * q(Fraction(7, 3))
     assert (X + 1) ** 3 == Poly([1, 3, 3, 1])
-    assert p.shift(2) == Poly([0, 0, 1, 2, 3])
+    assert p * X ** 2 == Poly([0, 0, 1, 2, 3])
     assert p.derivative() == Poly([2, 6])
 
 
@@ -56,6 +57,31 @@ def test_divmod_reconstructs():
     q, r = poly_divmod(a, b)
     assert q * b + r == a
     assert r.degree < b.degree
+
+
+_COEFF = st.one_of(st.just(0), st.integers(-9, 9),
+                   st.fractions(-9, 9, max_denominator=6), st.integers(-10 ** 20, 10 ** 20))
+
+
+@st.composite
+def division_pairs(draw):
+    """(a, b) with b nonzero, degree 0 included, and a = q*b + r for drawn q
+    and r: zeros in q cancel leading terms mid-division, and an empty q
+    makes a shorter than b."""
+    low = draw(st.lists(_COEFF, max_size=4))
+    b = Poly(low + [draw(_COEFF.filter(bool))])
+    q = Poly(draw(st.lists(_COEFF, max_size=6)))
+    r = Poly(draw(st.lists(_COEFF, max_size=b.degree)))
+    return q * b + r, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_pairs())
+def test_divmod_matches_the_reference_division(pair):
+    a, b = pair
+    q, r = poly_divmod(a, b)
+    assert (q, r) == reference_poly_divmod(a, b)
+    assert q * b + r == a and r.degree < b.degree
 
 
 def test_divmod_by_zero_raises():
@@ -110,6 +136,8 @@ def test_root_endpoints_rejected():
     assert count_distinct_real_roots(p, Fraction(3, 2), 3) == 1
     with pytest.raises(ValueError):
         count_distinct_real_roots(p, 1, 3)
+    with pytest.raises(ValueError, match="endpoint 2 is a root"):
+        count_distinct_real_roots(p, 3, 2)  # even when lo >= hi
 
 
 _RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=5)

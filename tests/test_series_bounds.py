@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from regmatch.certified import MAX_BITS, Verdict, log_enclosure
+from regmatch.certified import DEFAULT_BITS, MAX_BITS, Enclosure, Verdict, log_enclosure
 from regmatch.errors import DomainError
 from regmatch.graphs import (
     canonical_key,
@@ -18,6 +18,7 @@ from regmatch.graphs import (
 )
 from regmatch.matchpoly import gen_poly_value, matching_gen_poly
 from regmatch.series_bounds import (
+    SandwichReport,
     certificate_chain,
     compare_log_per_vertex,
     complete_graph_densities,
@@ -288,10 +289,14 @@ def test_sandwich_holds_on_small_cubic(cubic_by_n):
                     assert rep.upper_margin.lo > 0
 
 
-def test_sandwich_zero_lambda_and_domain():
-    rep = negative_lambda_sandwich(petersen(), 3, 0)
-    assert rep.verdict is Verdict.HOLDS
-    assert rep.lower_margin.lo == rep.upper_margin.hi == 0
+def test_sandwich_zero_lambda_and_domain(cubic_by_n):
+    # at lam = 0 every value is 1: both margins are exactly 0, with no
+    # escalation at any starting precision
+    zero = Enclosure.exact(0)
+    for g in [petersen()] + [g for n in sorted(cubic_by_n) for g in cubic_by_n[n]]:
+        for bits in (1, DEFAULT_BITS, MAX_BITS):
+            assert negative_lambda_sandwich(g, 3, 0, bits) == SandwichReport(
+                Fraction(0), Verdict.HOLDS, Verdict.HOLDS, zero, zero, True, bits)
     with pytest.raises(DomainError):
         negative_lambda_sandwich(petersen(), 3, Fraction(-1, 7))
     with pytest.raises(DomainError):
