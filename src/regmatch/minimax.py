@@ -56,60 +56,107 @@ class RemezResult:
 
 
 def _solve_reference_system(refs, degree):
-    rows = []
-    rhs = []
-    for i, x in enumerate(refs):
-        rows.append([x ** j for j in range(degree + 1)] + [(-1) ** i])
-        rhs.append(mpmath.log(1 + x))
-    try:
-        sol = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
-    except ZeroDivisionError:  # mpmath's report of a singular matrix
-        raise ConvergenceError("singular Remez reference system") from None
-    return [sol[j] for j in range(degree + 1)], sol[degree + 1]
+    """P's coefficients and the level h with P(x_i) + (-1)^i h = ln(1 + x_i)
+    at the m = degree + 2 references, by Gaussian elimination on lists.
+
+    It runs 10 bits above the working precision with mpmath.lu_solve's
+    steps: the pivot is the entry largest against the sum of its row's
+    remaining entries, and a pivot or row sum at or below ||M||_1 eps makes
+    the system singular.  So it returns lu_solve's numbers."""
+    n = degree + 2
+    rows = [[x ** j for j in range(degree + 1)] + [(-1) ** i, mpmath.log(1 + x)]
+            for i, x in enumerate(refs)]
+    with mp.extraprec(10):
+        tol = max(mpmath.fsum(abs(row[j]) for row in rows) for j in range(n)) * mp.eps
+        for j in range(n):
+            sums = [mpmath.fsum(abs(v) for v in row[j:n]) for row in rows[j:]]
+            if min(sums) <= tol:
+                raise ConvergenceError("singular Remez reference system")
+            p = max(range(j, n), key=lambda k: 1 / sums[k - j] * abs(rows[k][j]))
+            rows[j], rows[p] = rows[p], rows[j]
+            pivot = rows[j]
+            if abs(pivot[j]) <= tol:
+                raise ConvergenceError("singular Remez reference system")
+            for row in rows[j + 1:]:
+                f = row[j] / pivot[j]
+                for k in range(j + 1, n + 1):
+                    row[k] -= f * pivot[k]
+        sol = [mpf(0)] * n
+        for i in reversed(range(n)):
+            row = rows[i]
+            x = row[n]
+            for k in range(i + 1, n):
+                x -= row[k] * sol[k]
+            sol[i] = x / row[i]
+    return sol[:-1], sol[-1]
 
 
-def _sign_change_roots(coeffs, lo, hi):
+def _newton_root(coeffs, dcoeffs, a, b, rising, tiny, x=None):
+    """The root in (a, b) of the polynomial `coeffs` (derivative `dcoeffs`),
+    which rises through it if `rising` and falls otherwise, by Newton's
+    method from x (default the midpoint) inside a shrinking sign bracket.
+
+    A Newton step of at most `tiny` ends the search, and is taken even when
+    it rounds onto the bracket's end.  Any other step that leaves the
+    bracket, or a zero derivative, is replaced by bisection, which ends the
+    search once the bracket is within 2 tiny."""
+    if x is None or not a < x < b:
+        x = (a + b) / 2
+    for _ in range(mp.prec):
+        fx = _horner(coeffs, x)
+        if fx == 0:
+            return x
+        if (fx < 0) == rising:
+            a = x
+        else:
+            b = x
+        dfx = _horner(dcoeffs, x)
+        if dfx:
+            step = fx / dfx
+            if abs(step) <= tiny:
+                return min(max(x - step, a), b)
+            x -= step
+        if not a < x < b:
+            x = (a + b) / 2
+            if b - a <= 2 * tiny:
+                return x
+    return x
+
+
+def _sign_change_roots(coeffs, lo, hi, guesses, level=0):
     """Ascending roots in (lo, hi) at which the polynomial changes sign.
     They are sought between the derivative's sign changes, found the same
-    way: the polynomial is monotone there, so each piece holds at most one."""
+    way: the polynomial is monotone there, so each piece holds at most one.
+    guesses[level] holds the roots this call found, and its previous value,
+    the roots of a nearby polynomial, gives each piece its start point."""
     if len(coeffs) < 2:
         return []
     dcoeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
-    ends = [lo] + _sign_change_roots(dcoeffs, lo, hi) + [hi]
+    ends = [lo] + _sign_change_roots(dcoeffs, lo, hi, guesses, level + 1) + [hi]
     tiny = (hi - lo) * mpf(2) ** (8 - mp.prec)
+    starts = guesses.get(level, ())
     roots = []
     for a, b in zip(ends, ends[1:]):
         fa = _horner(coeffs, a)
         if fa * _horner(coeffs, b) >= 0:
             continue
-        # safeguarded Newton: bisect whenever a step leaves the bracket
-        x = (a + b) / 2
-        for _ in range(mp.prec):
-            fx = _horner(coeffs, x)
-            if fx == 0:
-                break
-            if (fx < 0) == (fa < 0):
-                a = x
-            else:
-                b = x
-            dfx = _horner(dcoeffs, x)
-            prev, x = x, x - fx / dfx if dfx else x
-            if not a < x < b:
-                x = (a + b) / 2
-            if abs(x - prev) <= tiny:
-                break
-        roots.append(x)
+        start = next((x for x in starts if a < x < b), None)
+        roots.append(_newton_root(coeffs, dcoeffs, a, b, fa < 0, tiny, start))
+    guesses[level] = roots
     return roots
 
 
-def _error_extrema(coeffs, A):
+def _error_extrema(coeffs, A, guesses=None):
     """Extremum candidates of e(x) = ln(1+x) - P(x) on [0, A]: both
     endpoints plus the sign changes of e'(x) = q(x)/(1+x), where
-    q(x) = 1 - (1+x)P'(x) has the degree of P."""
+    q(x) = 1 - (1+x)P'(x) has the degree of P.  `guesses` (see
+    _sign_change_roots) warm-starts the search from an earlier call's roots
+    and is updated with this call's."""
     dp = [j * coeffs[j] for j in range(1, len(coeffs))]
     q = [-r for r in _poly_mul([1, 1], dp)]
     q[0] += 1
-    return [mpf(0)] + _sign_change_roots(q, mpf(0), A) + [A]
+    roots = _sign_change_roots(q, mpf(0), A, {} if guesses is None else guesses)
+    return [mpf(0)] + roots + [A]
 
 
 def _select_alternating(points, errs, m):
@@ -153,9 +200,10 @@ def remez_best_approx(A, degree: int = 4, dps: int = _DPS) -> RemezResult:
         m = degree + 2
         refs = [A / 2 * (1 - mpmath.cos(mpmath.pi * i / (m - 1)))
                 for i in range(m)]
+        guesses = {}  # each exchange's roots start the next one's search
         for it in range(1, _MAX_EXCHANGES + 1):
             coeffs, level = _solve_reference_system(refs, degree)
-            points = _error_extrema(coeffs, A)
+            points = _error_extrema(coeffs, A, guesses)
             errs = [mpmath.log(1 + x) - _horner(coeffs, x) for x in points]
             maxdev = max(abs(e) for e in errs)
             selected = _select_alternating(points, errs, m)
@@ -189,37 +237,27 @@ class LambdaInterval:
 
 
 def lambda_interval(res: RemezResult, dps: int = _DPS) -> LambdaInterval:
-    """Certified-by-bisection positive roots of (3/2)c_3 l^3 + 27 c_4 l^4 = eps."""
+    """The positive roots lam_min < lam_max of the quartic
+    -eps + (3/2)c_3 l^3 + 27 c_4 l^4, by _newton_root on either side of its
+    peak at -c_3/(24 c_4), where it must be positive."""
     if res.degree < 4:
         raise DomainError("interval derivation needs a degree-4 result")
     with mp.workdps(dps):
         c3, c4, eps = res.coeffs[3], res.coeffs[4], res.epsilon
         if not (c3 > 0 and c4 < 0 and eps > 0):
             raise DomainError("need c_3 > 0, c_4 < 0, eps > 0")
-
-        def margin(lam):
-            return mpf(3) / 2 * c3 * lam ** 3 + 27 * c4 * lam ** 4 - eps
-
+        quartic = [-eps, 0, 0, mpf(3) / 2 * c3, 27 * c4]
+        dquartic = [0, 0, mpf(9) / 2 * c3, 108 * c4]
         peak = -c3 / (24 * c4)
-        if margin(peak) <= 0:
+        if _horner(quartic, peak) <= 0:
             raise DomainError(
                 f"approximation error {mpmath.nstr(eps, 10)} too large: "
                 "no positive solution interval")
-
-        def bisect(lo, hi, increasing):
-            for _ in range(dps * 4):
-                mid = (lo + hi) / 2
-                if (margin(mid) > 0) == increasing:
-                    hi = mid
-                else:
-                    lo = mid
-            return (lo + hi) / 2
-
-        lam_min = bisect(peak * mpf(10) ** (-25), peak, True)
-        hi = peak
-        while margin(hi) > 0:
-            hi *= 2
-        lam_max = bisect(peak, hi, False)
+        tiny = peak * mpf(2) ** (8 - mp.prec)
+        lam_min = _newton_root(quartic, dquartic, peak * mpf(10) ** (-25), peak,
+                               True, tiny)
+        # the quartic is -6 c_3 peak^3 - eps < 0 at 2 peak
+        lam_max = _newton_root(quartic, dquartic, peak, 2 * peak, False, tiny)
         return LambdaInterval(res.A, lam_min, lam_max, res.A / 8)
 
 

@@ -633,6 +633,35 @@ def reference_error_extrema(coeffs, A) -> list:
     return points
 
 
+def reference_lambda_interval(res, dps: int = 40) -> tuple:
+    """(lam_min, lam_max), the positive roots of
+    (3/2)c_3 l^3 + 27 c_4 l^4 - eps, each by 4 * dps bisection steps: lam_min
+    on (peak 10^-25, peak), lam_max on (peak, hi) with hi doubled from the
+    peak -c_3/(24 c_4) until the margin is no longer positive.
+
+    The bisection that minimax.lambda_interval's Newton search replaced."""
+    with mpmath.mp.workdps(dps):
+        c3, c4, eps = res.coeffs[3], res.coeffs[4], res.epsilon
+
+        def margin(lam):
+            return mpf(3) / 2 * c3 * lam ** 3 + 27 * c4 * lam ** 4 - eps
+
+        def bisect(lo, hi, increasing):
+            for _ in range(dps * 4):
+                mid = (lo + hi) / 2
+                if (margin(mid) > 0) == increasing:
+                    hi = mid
+                else:
+                    lo = mid
+            return (lo + hi) / 2
+
+        peak = -c3 / (24 * c4)
+        hi = peak
+        while margin(hi) > 0:
+            hi *= 2
+        return bisect(peak * mpf(10) ** (-25), peak, True), bisect(peak, hi, False)
+
+
 # ---------------------------------------------------------------------------
 # Polynomial division and the graph6 decoder
 

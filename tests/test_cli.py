@@ -4,8 +4,12 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +75,19 @@ def test_poly_undecodable_file_names_line_and_byte(tmp_path, monkeypatch, capsys
     code, out, err = run(capsys, "poly")
     assert code == 2
     assert err == "error: stdin: non-ASCII character (line 2, byte 0)\n"
+
+
+def test_poly_stdin_bytes_ignore_the_locale_encoding():
+    # stdin was once decoded by the locale; under a strict error handler a
+    # non-UTF-8 byte escaped as an internal error (exit 3)
+    src = str(Path(__import__("regmatch").__file__).parents[1])
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "regmatch.cli", "poly"],
+                          input=b"C~\n\xff\n", capture_output=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: stdin: non-ASCII character (line 2, byte 0)\n"
 
 
 def test_ladder_undecodable_config_names_file(tmp_path, capsys):
@@ -379,6 +396,19 @@ def test_ladder_config_rejects_non_decimal(tmp_path, capsys):
     code, out, err = run(capsys, "ladder", "--config", str(config))
     assert code == 2
     assert "not a finite decimal: 'abc'" in err
+
+
+def test_ladder_config_bad_value_names_file_and_line(tmp_path, capsys):
+    config = tmp_path / "ladder.txt"
+    config.write_text("0.2\n\n# comment\n1e5000\n")
+    code, out, err = run(capsys, "ladder", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {config}: line 4: magnitude above 1000: '1e5000'\n"
+    config.write_text("0.2\nabc  # not a decimal\n")
+    code, out, err = run(capsys, "ladder", "--config", str(config))
+    assert code == 2
+    assert err == f"error: {config}: line 2: not a finite decimal: 'abc'\n"
 
 
 def test_remez_output(capsys):

@@ -8,7 +8,8 @@ import mpmath
 from mpmath import mp, mpf
 import pytest
 
-from oracles import reference_error_extrema
+from oracles import reference_error_extrema, reference_lambda_interval
+from regmatch import minimax
 from regmatch.certified import Verdict
 from regmatch.errors import ConvergenceError, DomainError
 from regmatch.graphs import complete, complete_bipartite, cycle, petersen
@@ -18,6 +19,7 @@ from regmatch.minimax import (
     cubic_theorem_check,
     ladder_verify,
     _error_extrema,
+    _solve_reference_system,
     lambda_interval,
     remez_best_approx,
 )
@@ -65,8 +67,8 @@ def test_remez_degree_eight_equioscillates():
 
 
 @lru_cache(maxsize=None)
-def _fit(a, degree):
-    return remez_best_approx(a, degree=degree)
+def _fit(a, degree, dps=40):
+    return remez_best_approx(a, degree=degree, dps=dps)
 
 
 @settings(max_examples=25, deadline=None)
@@ -91,6 +93,57 @@ def test_error_extrema_match_grid_scan(a, degree, scale, shifts):
             assert min(abs(x - y) for y in exact) <= mpf(10) ** -25 * A
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["0.05", "0.2", "0.9", "2.87"]), st.integers(4, 7),
+       st.sampled_from([0, 1e-6, 1e-2, 1]),
+       st.lists(st.floats(-1, 1), min_size=11, max_size=11),
+       st.sampled_from(["0.05", "0.2", "0.9", "2.87"]))
+def test_error_extrema_warm_start_matches_cold(a, degree, scale, shifts, source):
+    """Started from the extrema of a neighbouring fit (the unshifted fit on
+    [0, source], whose points may lie anywhere or past A), the search finds
+    the cold search's points, and the grid scan's sign changes among them."""
+    res = _fit(a, degree)
+    with mp.workdps(40):
+        A = res.A
+        coeffs = [c + mpf(scale) * mpf(t) * res.epsilon / A ** k
+                  for k, (c, t) in enumerate(zip(res.coeffs, shifts))]
+        neighbour = _fit(source, degree)
+        guesses = {}
+        _error_extrema(neighbour.coeffs, neighbour.A, guesses)
+        warm = _error_extrema(coeffs, A, guesses)
+        cold = _error_extrema(coeffs, A)
+        assert len(warm) == len(cold)
+        for x, y in zip(warm, cold):
+            assert abs(x - y) <= mpf(10) ** -30 * A
+        assert guesses[0] == warm[1:-1]
+        for x in reference_error_extrema(coeffs, A)[1:-1]:
+            assert min(abs(x - y) for y in warm) <= mpf(10) ** -25 * A
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([20, 40, 60]), st.sampled_from(["0.01", "0.9", "2.87", "30"]),
+       st.integers(1, 10), st.lists(st.floats(-0.45, 0.45), min_size=12, max_size=12))
+def test_reference_system_is_lu_solve(dps, a, degree, jitter):
+    """The elimination on lists returns mpmath.lu_solve's numbers, bit for
+    bit, on Chebyshev references each moved by up to 0.45 of a spacing."""
+    with mp.workdps(dps):
+        A = mpf(a)
+        m = degree + 2
+        nodes = [i + mpf(t) if 0 < i < m - 1 else i for i, t in zip(range(m), jitter)]
+        refs = [A / 2 * (1 - mpmath.cos(mpmath.pi * s / (m - 1))) for s in nodes]
+        matrix = mpmath.matrix([[x ** j for j in range(degree + 1)] + [(-1) ** i]
+                                for i, x in enumerate(refs)])
+        rhs = mpmath.matrix([mpmath.log(1 + x) for x in refs])
+        try:
+            sol = list(mpmath.lu_solve(matrix, rhs))
+        except ZeroDivisionError:
+            with pytest.raises(ConvergenceError, match="singular"):
+                _solve_reference_system(refs, degree)
+            return
+        coeffs, level = _solve_reference_system(refs, degree)
+        assert coeffs + [level] == sol
+
+
 def test_remez_level_value():
     res = remez_best_approx("0.2")
     with mp.workdps(40):
@@ -105,9 +158,9 @@ def test_remez_domain():
     with pytest.raises(DomainError):
         remez_best_approx("0.2", degree=-3)
     # a singular reference system is a failure to converge, not a crash
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="singular"):
         remez_best_approx("1e-30")
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="singular"):
         remez_best_approx("0.2", degree=40)
 
 
@@ -130,6 +183,33 @@ def test_lambda_interval_roots():
         assert itv.usable == (itv.lam_min, itv.cap)
         assert not itv.empty
         assert abs(itv.lam_min - mpf("0.005568811878")) < mpf("1e-4")
+
+
+@pytest.mark.parametrize("dps", [40, 60])
+def test_lambda_interval_matches_bisection_without_stalling(monkeypatch, dps):
+    """On every rung the Newton roots are the bisection's to 1e-30, from at
+    most 60 evaluations of the quartic.  A converged step that rounds onto
+    the bracket's end must end the search: read as leaving the bracket, it
+    set off up to about 100 bisections per root (378 evaluations on A = 1.4
+    at 60 digits, against about 40 per rung now)."""
+    calls = []
+    horner = minimax._horner
+
+    def counted(coeffs, x):
+        calls.append(x)
+        return horner(coeffs, x)
+
+    for a in DEFAULT_LADDER:
+        res = _fit(a, 4, dps)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(minimax, "_horner", counted)
+            itv = lambda_interval(res, dps=dps)
+        assert len(calls) <= 60, a
+        lam_min, lam_max = reference_lambda_interval(res, dps)
+        with mp.workdps(dps):
+            assert abs(itv.lam_min - lam_min) <= mpf(10) ** -30
+            assert abs(itv.lam_max - lam_max) <= mpf(10) ** -30
 
 
 def test_lambda_interval_needs_degree_four():
