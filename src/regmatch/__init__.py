@@ -39,7 +39,6 @@ from .graphs import (
 from .matchpoly import (
     certify_root_bound,
     gen_poly_value,
-    log_per_vertex,
     matching_counts,
     matching_gen_poly,
     matching_poly_mu,
@@ -114,7 +113,6 @@ __all__ = [
     "isomorphic",
     "ladder_verify",
     "lambda_interval",
-    "log_per_vertex",
     "matching_counts",
     "matching_gen_poly",
     "matching_lower_bound_check",

@@ -76,9 +76,6 @@ class Enclosure:
             return Enclosure(self.lo / q, self.hi / q)
         return Enclosure(self.hi / q, self.lo / q)
 
-    def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
-
 
 def _mpf_to_fraction(raw) -> Fraction:
     if raw in (libmp.finf, libmp.fninf, libmp.fnan):

@@ -227,13 +227,14 @@ class _Command:
             json.dump(rep, fh, indent=2)
             fh.write("\n")
             return
-        writer = None
-        for item in rep["items"]:
-            flat = _flatten(item)
-            if writer is None:
-                writer = csv.DictWriter(fh, fieldnames=list(flat))
-                writer.writeheader()
-            writer.writerow(flat)
+        rows = [_flatten(item) for item in rep["items"]]
+        if rows:
+            # items may differ in their keys: the header is their union, in
+            # first-seen order, and a row leaves the keys it lacks empty
+            writer = csv.DictWriter(fh, fieldnames=list(dict.fromkeys(
+                key for row in rows for key in row)))
+            writer.writeheader()
+            writer.writerows(rows)
 
 
 def _read_graph_inputs(paths: list[str]) -> list[tuple[str, str, int, Graph]]:
@@ -358,10 +359,10 @@ def _cmd_verify(args) -> int:
         "precision_bits": args.precision_bits,
         "include_necklaces": args.include_necklaces,
     })
+    if args.include_necklaces and args.d != 3:
+        raise argparse.ArgumentTypeError("necklace rows require --d 3")
     graphs = _corpus(args.d, args.nmax)
     if args.include_necklaces:
-        if args.d != 3:
-            raise argparse.ArgumentTypeError("necklace rows require --d 3")
         graphs.extend(diamond_necklace(k) for k in range(2, args.include_necklaces + 1))
     entries = _keyed(cmd, graphs)
     counts = {Verdict.HOLDS: 0, Verdict.FAILS: 0, Verdict.INCONCLUSIVE: 0}
@@ -446,7 +447,7 @@ def _cmd_ladder(args) -> int:
 def _cmd_remez(args) -> int:
     cmd = _Command("remez", args, {"A": args.a, "degree": args.degree, "dps": args.dps})
     res = remez_best_approx(args.a, degree=args.degree, dps=args.dps)
-    iv = lambda_interval(res, dps=args.dps)
+    iv = lambda_interval(res)
     digits = 10
     cmd.say(f"best degree-{args.degree} approximation of log(1+x) on [0, {args.a}]")
     for i, c in enumerate(res.coeffs):
@@ -506,12 +507,12 @@ def _necklace_base(args) -> Graph:
 def _cmd_necklace(args) -> int:
     base = _necklace_base(args)
     u, v = args.edge
+    tm = transfer_matrix(base, u, v)  # rejects a non-edge before the canonical search
     cmd = _Command("necklace", args, {
         "base": canonical_key(base),
         "edge": [u, v],
         "kmax": args.kmax,
     })
-    tm = transfer_matrix(base, u, v)
     cmd.say(f"base {canonical_key(base)} edge ({u},{v})")
     cmd.say("trace(B) coefficients: " + " ".join(str(c) for c in tm.trace_poly().coeffs))
     cmd.say("det(B) coefficients:   " + " ".join(str(c) for c in tm.det_poly().coeffs))
@@ -537,11 +538,11 @@ def _cmd_polytope(args) -> int:
         "include_complete": args.include_complete,
     })
     d = args.d
+    thr = even_d_threshold(d)  # rejects an odd d before any generation
     graphs = _corpus(d, args.nmax)
     if not args.include_complete:
         graphs = [g for g in graphs if g.n != d + 1]
     entries = _keyed(cmd, graphs)
-    thr = even_d_threshold(d)
     cmd.say(f"T({d}) = {thr.units} ln({d + 1}) = {mpmath.nstr(thr.threshold_value, 8)}, "
             f"coefficient gap {thr.gap}")
     for key, g in entries:

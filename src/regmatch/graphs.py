@@ -48,9 +48,6 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self.adj)
 
@@ -63,17 +60,11 @@ class Graph:
             return 0
         return None
 
-    def neighbors(self, v: int) -> list[int]:
-        return _bits(self.adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
     def components(self) -> list[list[int]]:
         return _components(self.adj)
-
-    def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph relabeled to 0..len(vertices)-1 (in given order)."""
@@ -146,20 +137,16 @@ def _induced_masks(masks: Sequence[int], keep: Sequence[int]) -> tuple[int, ...]
 _G6_MAX_N = 62
 
 
-def parse_graph6(text: str | bytes, line: int | None = None) -> Graph:
-    """Decode one graph6 line.
+def parse_graph6(text: str, line: int | None = None) -> Graph:
+    """Decode one graph6 line of text.
 
     Only the single-byte header (63+n, n <= 62) is supported; the multi-byte
     long forms raise a parse error.  Errors name the offending byte offset.
     """
-    if isinstance(text, str):
-        try:
-            data = text.encode("ascii")
-        except UnicodeEncodeError as exc:
-            raise Graph6ParseError("non-ASCII character", exc.start, line) from None
-    else:
-        data = bytes(text)
-    data = data.rstrip(b"\r\n")
+    try:
+        data = text.encode("ascii").rstrip(b"\r\n")
+    except UnicodeEncodeError as exc:
+        raise Graph6ParseError("non-ASCII character", exc.start, line) from None
     if not data:
         raise Graph6ParseError("empty input", 0, line)
     head = data[0]

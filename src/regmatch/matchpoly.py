@@ -19,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .certified import DEFAULT_BITS, Enclosure, log_enclosure
 from .errors import CapacityError, DomainError
 from .graphs import Graph, _bits
 from .polynomials import Poly, _horner, count_real_roots_with_multiplicity
@@ -204,12 +203,3 @@ def gen_poly_value(g: Graph, lam) -> Fraction:
     """Exact M(G, lam) at a rational point."""
     return _horner(_counts(g), Fraction(lam))
 
-
-def log_per_vertex(g: Graph, lam, bits: int = DEFAULT_BITS) -> Enclosure:
-    """Certified enclosure of (1/n) ln M(G, lam); requires M(G, lam) > 0."""
-    if g.n == 0:
-        raise DomainError("empty graph has no per-vertex free energy")
-    value = gen_poly_value(g, lam)
-    if value <= 0:
-        raise DomainError(f"M(G, {Fraction(lam)}) = {value} is not positive")
-    return log_enclosure(value, bits) / g.n

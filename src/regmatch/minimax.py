@@ -39,6 +39,7 @@ class RemezResult:
     refs: tuple[mpf, ...]
     iterations: int
     max_deviation: mpf
+    dps: int             # the working precision of the fit, in digits
 
     def poly_at(self, x) -> mpf:
         return _horner(self.coeffs, x)
@@ -211,7 +212,7 @@ def remez_best_approx(A, degree: int = 4, dps: int = _DPS) -> RemezResult:
                 raise ConvergenceError("equioscillation structure lost")
             if maxdev - abs(level) <= max(tol * maxdev, floor):
                 return RemezResult(A, degree, tuple(coeffs), abs(level),
-                                   tuple(selected), it, maxdev)
+                                   tuple(selected), it, maxdev, dps)
             refs = selected
         raise ConvergenceError(
             f"Remez did not converge in {_MAX_EXCHANGES} exchanges")
@@ -236,13 +237,14 @@ class LambdaInterval:
         return not lo < hi
 
 
-def lambda_interval(res: RemezResult, dps: int = _DPS) -> LambdaInterval:
+def lambda_interval(res: RemezResult) -> LambdaInterval:
     """The positive roots lam_min < lam_max of the quartic
     -eps + (3/2)c_3 l^3 + 27 c_4 l^4, by _newton_root on either side of its
-    peak at -c_3/(24 c_4), where it must be positive."""
+    peak at -c_3/(24 c_4), where it must be positive; at the fit's
+    precision."""
     if res.degree < 4:
         raise DomainError("interval derivation needs a degree-4 result")
-    with mp.workdps(dps):
+    with mp.workdps(res.dps):
         c3, c4, eps = res.coeffs[3], res.coeffs[4], res.epsilon
         if not (c3 > 0 and c4 < 0 and eps > 0):
             raise DomainError("need c_3 > 0, c_4 < 0, eps > 0")
@@ -303,7 +305,7 @@ def ladder_verify(ladder=DEFAULT_LADDER, base_cap: Fraction = BASE_CAP,
         for a in ladder:
             res = remez_best_approx(a, degree=degree, dps=dps)
             try:
-                itv = lambda_interval(res, dps=dps)
+                itv = lambda_interval(res)
             except DomainError:
                 rows.append(LadderRow(res.A, res, None, False))
                 continue
@@ -344,7 +346,7 @@ def cubic_theorem_check(g: Graph, res: RemezResult, lam) -> CubicCheckReport:
         raise DomainError("cubic theorem applies to 3-regular graphs")
     lam = Fraction(lam)
     itv = lambda_interval(res)
-    with mp.workdps(_DPS):
+    with mp.workdps(res.dps):
         lam_f = mpf(lam.numerator) / lam.denominator
         if not (itv.lam_min < lam_f < itv.lam_max and lam_f <= itv.cap):
             raise DomainError(

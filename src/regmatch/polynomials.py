@@ -92,16 +92,12 @@ class Poly:
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Poly.const(other)
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
+    def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -110,18 +106,11 @@ class Poly:
             out[i] += c
         return Poly(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Poly":
         return Poly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
+    def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
-
-    def __rsub__(self, other) -> "Poly":
-        return (-self) + other
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):

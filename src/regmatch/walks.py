@@ -41,9 +41,6 @@ class PathTree:
             out[self.parent[node]].append(node)
         return out
 
-    def as_graph(self) -> Graph:
-        return Graph(self.size, [(self.parent[i], i) for i in range(1, self.size)])
-
 
 def build_path_tree(g: Graph, u: int, *, depth: int | None = None) -> PathTree:
     """T(G, u), or with `depth` only its paths of at most that many edges."""

@@ -690,18 +690,15 @@ def reference_poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return Poly(q), Poly(r)
 
 
-def reference_parse_graph6(text: str | bytes, line: int | None = None) -> Graph:
+def reference_parse_graph6(text: str, line: int | None = None) -> Graph:
     """One short-form graph6 line, decoded bit by bit with each data byte's
     range checked at every one of its bits, then the padding bits.
 
     The decoder that graphs.parse_graph6's single range check replaced."""
-    if isinstance(text, str):
-        try:
-            data = text.encode("ascii")
-        except UnicodeEncodeError as exc:
-            raise Graph6ParseError("non-ASCII character", exc.start, line) from None
-    else:
-        data = bytes(text)
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6ParseError("non-ASCII character", exc.start, line) from None
     data = data.rstrip(b"\r\n")
     if not data:
         raise Graph6ParseError("empty input", 0, line)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, exit codes, reports."""
 
 import argparse
+import csv
 import hashlib
 import io
 import json
@@ -229,6 +230,44 @@ def test_csv_format(capsys):
     assert len(lines) == 4
 
 
+def _csv_cells(item: dict, prefix: str = "") -> dict:
+    """A JSON report item as the CSV cells it should give: nested keys
+    joined by dots, lists by spaces, null as an empty cell."""
+    cells = {}
+    for key, value in item.items():
+        if isinstance(value, dict):
+            cells.update(_csv_cells(value, f"{prefix}{key}."))
+        elif isinstance(value, list):
+            cells[prefix + key] = " ".join(str(v) for v in value)
+        else:
+            cells[prefix + key] = "" if value is None else str(value)
+    return cells
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly"],
+    ["ladder", "--degree", "5"],
+    ["verify", "--lambda", "1/4"],
+    ["polytope", "--d", "4", "--nmax", "6", "--include-complete"],
+], ids=" ".join)
+def test_csv_rows_are_the_flattened_json_items(monkeypatch, capsys, argv):
+    # the header was the first item's keys, so `polytope --include-complete`,
+    # whose K_5 item has no odd_sets_checked, crashed with exit 3; it is now
+    # the union of the items' keys in first-seen order
+    def report(fmt):
+        monkeypatch.setattr("sys.stdin", io.StringIO("C~\nE{Sw\n"))  # for `poly`
+        return run(capsys, *argv, "--format", fmt)
+
+    code, out, _ = report("json")
+    items = [_csv_cells(item) for item in json.loads(out)["items"]]
+    header = list(dict.fromkeys(key for item in items for key in item))
+    csv_code, text, err = report("csv")
+    assert (csv_code, err) == (code, "")
+    rows = csv.DictReader(io.StringIO(text))
+    assert rows.fieldnames == header
+    assert list(rows) == [{key: item.get(key, "") for key in header} for item in items]
+
+
 def test_bad_rational_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--lambda", "abc"])
@@ -305,6 +344,10 @@ def test_precision_bits_names_its_range(capsys, value, message):
     ["ladder", "--base-cap", "-1"],
     ["verify", "--d", "9", "--nmax", "20"],
     ["necklace", "--graph6", ""],
+    ["necklace", "--edge", "1"],
+    ["necklace", "--edge", "a,b"],
+    ["necklace", "--edge", "1,2,3"],
+    ["verify", "--grid-max", "1/1000"],
 ])
 def test_bad_input_exits_two_without_traceback(monkeypatch, capsys, argv):
     # these once raised IndexError, ValueError, FileNotFoundError or (for
@@ -318,7 +361,8 @@ def test_bad_input_exits_two_without_traceback(monkeypatch, capsys, argv):
     # minutes although each alone was bounded; `ladder` with a target <= 0
     # read COVERED, and with a negative base cap read as a FAILS verdict
     # `poly` reads K_{cap+2} from stdin, whose frontier width is past the
-    # matching-polynomial DP's cap
+    # matching-polynomial DP's cap; --edge takes exactly two integers, and a
+    # --grid-max below the step leaves no lambda
     monkeypatch.setattr("sys.stdin", io.StringIO(
         encode_graph6(complete(_MAX_FRONTIER_WIDTH + 2)) + "\n"))
     try:
@@ -329,6 +373,23 @@ def test_bad_input_exits_two_without_traceback(monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["polytope", "--d", "3", "--nmax", "14"], "even d >= 2 required"),
+    (["verify", "--d", "4", "--nmax", "11", "--include-necklaces", "3"],
+     "necklace rows require --d 3"),
+    (["necklace", "--graph6", "I~~~~~~~w", "--edge", "0,0"], "(0,0) is not an edge"),
+], ids=["polytope", "verify", "necklace"])
+def test_bad_input_is_refused_before_any_work(monkeypatch, capsys, argv, message):
+    # these generated the corpus, or ran the canonical search on K_10, for
+    # seconds before they were refused
+    def no_work(*args):
+        raise AssertionError("work done before the input was checked")
+
+    monkeypatch.setattr("regmatch.cli.generate_connected_regular", no_work)
+    monkeypatch.setattr("regmatch.cli.canonical_key", no_work)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 # integer options whose work is bounded some other way: the generation cap

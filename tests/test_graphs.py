@@ -87,17 +87,16 @@ def test_degrees_and_neighbors():
     assert sorted(g.degrees()) == [2, 2, 3, 3]
     assert g.regular_degree() is None
     assert complete(4).regular_degree() == 3
-    hubs = [v for v in range(4) if g.degree(v) == 3]
+    hubs = [v for v in range(4) if g.degrees()[v] == 3]
     assert g.has_edge(*hubs)
-    assert set(g.neighbors(hubs[0])) == set(range(4)) - {hubs[0]}
+    assert all(g.has_edge(hubs[0], w) for w in range(4) if w != hubs[0])
 
 
 def test_components_and_connectivity():
     g = disjoint_union(cycle(3), path_graph(2))
     comps = g.components()
     assert sorted(len(c) for c in comps) == [2, 3]
-    assert not g.is_connected()
-    assert cycle(5).is_connected()
+    assert len(cycle(5).components()) == 1
 
 
 def test_induced_subgraph():
@@ -211,7 +210,7 @@ _BYTE = st.one_of(st.integers(0, 255), st.sampled_from((62, 63, 126, 127)))
 def mutated_graph6(draw):
     """An encoded graph with up to three bytes set, inserted or deleted, at
     any position but most often the header, the first or the last data byte,
-    and an optional line ending."""
+    and an optional line ending, as text decoded byte for byte."""
     data = bytearray(encode_graph6(draw(graph6_graphs())).encode("ascii"))
     for _ in range(draw(st.integers(0, 3))):
         op = draw(st.sampled_from(("set", "insert", "delete")))
@@ -223,7 +222,8 @@ def mutated_graph6(draw):
             data.insert(pos, draw(_BYTE))
         else:
             data[pos:pos + 1] = bytes([draw(_BYTE)])
-    return bytes(data) + draw(st.sampled_from((b"", b"\n", b"\r\n")))
+    data += draw(st.sampled_from((b"", b"\n", b"\r\n")))
+    return data.decode("latin-1")
 
 
 def _parse_outcome(parse, text, line):
@@ -235,12 +235,10 @@ def _parse_outcome(parse, text, line):
 
 @settings(max_examples=300, deadline=None)
 @given(mutated_graph6(), st.sampled_from((None, 1, 7)))
-def test_graph6_decoder_matches_the_reference(data, line):
-    # the same graph, or the same message, offset and line, for the bytes
-    # and for the text they decode to byte for byte
-    for text in (data, data.decode("latin-1")):
-        assert (_parse_outcome(parse_graph6, text, line)
-                == _parse_outcome(reference_parse_graph6, text, line))
+def test_graph6_decoder_matches_the_reference(text, line):
+    # the same graph, or the same message, offset and line
+    assert (_parse_outcome(parse_graph6, text, line)
+            == _parse_outcome(reference_parse_graph6, text, line))
 
 
 def test_graph6_non_ascii():
@@ -420,7 +418,7 @@ def test_cover_is_regular_lift():
         cov = necklace_cover(base, (0, 1), k)
         assert cov.n == 4 * k
         assert cov.regular_degree() == 3
-        assert cov.is_connected()
+        assert len(cov.components()) == 1
 
 
 def test_necklace_of_k2_is_disjoint_edges():
@@ -472,7 +470,7 @@ def test_generation_output_canonical_and_regular(cubic_by_n, quartic_by_n, fiver
                 assert encode_graph6(g) == key == canonical_key(Graph(g.n, g.edges))
                 assert canonical_key(g.relabel(perm)) == key
                 assert g.regular_degree() == d
-                assert g.is_connected()
+                assert len(g.components()) == 1
 
 
 def _identity_columns(g):

@@ -27,7 +27,6 @@ from regmatch.graphs import (
 from regmatch.matchpoly import (
     certify_root_bound,
     gen_poly_value,
-    log_per_vertex,
     matching_counts,
     matching_gen_poly,
     matching_poly_mu,
@@ -121,26 +120,7 @@ def test_gen_poly_value_positive_negative_domain():
     g = complete(4)
     assert gen_poly_value(g, 1) == 10
     assert gen_poly_value(g, Fraction(-1, 8)) == Fraction(19, 64)
-
-
-def test_log_per_vertex_encloses_true_value():
-    g = complete(4)
-    enc = log_per_vertex(g, 1)
-    # (1/4) ln 10: squeeze via exp on exact rationals
-    assert enc.width < Fraction(1, 10 ** 30)
-    mid = enc.midpoint
-    # 4 * enc should bracket ln 10: check e^(4 lo) <= 10 <= e^(4 hi) loosely
-    assert abs(float(mid) - 0.5756462732485114) < 1e-12
-
-
-def test_log_per_vertex_rejects_nonpositive():
-    from regmatch.errors import DomainError
-    g = complete(4)
     assert gen_poly_value(g, -1) == -2
-    with pytest.raises(DomainError):
-        log_per_vertex(g, Fraction(-1))
-    with pytest.raises(DomainError):
-        log_per_vertex(Graph(0, []), 1)
 
 
 def test_diamond_necklace_partition_at_one():
@@ -198,7 +178,6 @@ def test_repeat_evaluation_runs_the_dp_once(monkeypatch):
     calls.clear()
     for lam in (Fraction(1, 7), Fraction(3, 2), 0, 1):
         gen_poly_value(g, lam)
-        log_per_vertex(g, lam or 1)
         verify_inequality(g, 3, lam)
     negative_lambda_sandwich(g, 3, Fraction(-1, 8))
     matching_counts(g), matching_gen_poly(g), matching_poly_mu(g)

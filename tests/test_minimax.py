@@ -204,12 +204,15 @@ def test_lambda_interval_matches_bisection_without_stalling(monkeypatch, dps):
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(minimax, "_horner", counted)
-            itv = lambda_interval(res, dps=dps)
+            itv = lambda_interval(res)
         assert len(calls) <= 60, a
         lam_min, lam_max = reference_lambda_interval(res, dps)
         with mp.workdps(dps):
             assert abs(itv.lam_min - lam_min) <= mpf(10) ** -30
             assert abs(itv.lam_max - lam_max) <= mpf(10) ** -30
+            # the roots carry the fit's precision, not a fixed 40 digits
+            assert abs(itv.lam_min / lam_min - 1) <= mpf(10) ** (5 - dps)
+            assert abs(itv.lam_max / lam_max - 1) <= mpf(10) ** (5 - dps)
 
 
 def test_lambda_interval_needs_degree_four():

@@ -22,6 +22,11 @@ from regmatch.polynomials import (
 X = Poly([0, 1])
 
 
+def root(r) -> Poly:
+    """x - r"""
+    return Poly([-r, 1])
+
+
 def test_construction_trims_leading_zeros():
     assert Poly([1, 2, 0, 0]) == Poly([1, 2])
     assert Poly([0]).is_zero()
@@ -41,12 +46,12 @@ def test_scaled_horner_is_the_scaled_fraction_value(coeffs, p, q):
 
 
 def test_arithmetic_basics():
-    p = 1 + 2 * X + 3 * X ** 2
-    q = X - 1
+    p = Poly.const(1) + 2 * X + 3 * X ** 2
+    q = root(1)
     assert p + q == Poly([0, 3, 3])
     assert p - p == Poly([])
     assert (p * q)(Fraction(7, 3)) == p(Fraction(7, 3)) * q(Fraction(7, 3))
-    assert (X + 1) ** 3 == Poly([1, 3, 3, 1])
+    assert root(-1) ** 3 == Poly([1, 3, 3, 1])
     assert p * X ** 2 == Poly([0, 0, 1, 2, 3])
     assert p.derivative() == Poly([2, 6])
 
@@ -90,24 +95,24 @@ def test_divmod_by_zero_raises():
 
 
 def test_gcd_of_products():
-    a = (X - 1) * (X - 2)
-    b = (X - 1) * (X + 5)
+    a = root(1) * root(2)
+    b = root(1) * root(-5)
     g = poly_gcd(a, b).monic()
-    assert g == (X - 1).monic()
+    assert g == root(1).monic()
 
 
 def test_squarefree_decomposition():
-    p = (X - 1) ** 3 * (X + 2) ** 2 * (X - 5)
+    p = root(1) ** 3 * root(-2) ** 2 * root(5)
     parts = squarefree_decomposition(p)
     by_mult = {m: f.monic() for f, m in parts if f.degree > 0}
-    assert by_mult[3] == (X - 1).monic()
-    assert by_mult[2] == (X + 2).monic()
-    assert by_mult[1] == (X - 5).monic()
-    assert squarefree_part(p).monic() == ((X - 1) * (X + 2) * (X - 5)).monic()
+    assert by_mult[3] == root(1).monic()
+    assert by_mult[2] == root(-2).monic()
+    assert by_mult[1] == root(5).monic()
+    assert squarefree_part(p).monic() == (root(1) * root(-2) * root(5)).monic()
 
 
 def test_sturm_chain_sign_structure():
-    p = (X - 1) * (X - 3) * (X + 2)
+    p = root(1) * root(3) * root(-2)
     chain = sturm_chain(p)
     assert chain[0] == p
     assert chain[1] == p.derivative()
@@ -115,7 +120,7 @@ def test_sturm_chain_sign_structure():
 
 
 def test_distinct_real_root_counts():
-    p = (X - 1) * (X - 3) * (X + 2)
+    p = root(1) * root(3) * root(-2)
     assert count_distinct_real_roots(p) == 3
     assert count_distinct_real_roots(p, 0, 2) == 1
     assert count_distinct_real_roots(p, Fraction(-5), Fraction(0)) == 1
@@ -124,14 +129,14 @@ def test_distinct_real_root_counts():
 
 
 def test_root_count_with_multiplicity():
-    p = (X - 1) ** 4 * (X + 2)
+    p = root(1) ** 4 * root(-2)
     assert count_distinct_real_roots(p) == 2
     assert count_real_roots_with_multiplicity(p) == 5
     assert count_real_roots_with_multiplicity(p, 0, 10) == 4
 
 
 def test_root_endpoints_rejected():
-    p = (X - 1) * (X - 2)
+    p = root(1) * root(2)
     assert count_distinct_real_roots(p, 0, 3) == 2
     assert count_distinct_real_roots(p, Fraction(3, 2), 3) == 1
     with pytest.raises(ValueError):
@@ -151,9 +156,9 @@ def _factored(draw):
                           max_size=len(roots)))
     p = Poly.const(draw(_RATIONALS.filter(bool)))
     for r, m in zip(roots, mults):
-        p = p * (X - r) ** m
+        p = p * root(r) ** m
     if draw(st.booleans()):
-        p = p * (X ** 2 + 1)
+        p = p * Poly([1, 0, 1])
     return p, dict(zip(roots, mults))
 
 
@@ -176,7 +181,7 @@ def test_root_counts_match_known_factorization(case, lo, hi):
 
 
 def test_empty_interval_has_no_roots():
-    p = X + 1
+    p = root(-1)
     assert count_distinct_real_roots(p, 0, -2) == 0
     assert count_real_roots_with_multiplicity(p, 0, -2) == 0
     assert count_real_roots_with_multiplicity(p ** 2, 0, -2) == 0

@@ -37,8 +37,8 @@ def test_path_tree_of_tree_is_itself():
     g = path_graph(5)
     tree = build_path_tree(g, 0)
     assert tree.size == 5
-    tg = tree.as_graph()
-    assert tg.n == 5 and len(tg.edges) == 4
+    assert tree.parent == (-1, 0, 1, 2, 3)
+    assert tree.last == (0, 1, 2, 3, 4)
 
 
 def test_path_tree_cap(monkeypatch):
