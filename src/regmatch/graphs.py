@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import CapacityError, Graph6ParseError, NoGraphsError, RegmatchError
+from .errors import CapacityError, DomainError, Graph6ParseError, NoGraphsError, RegmatchError
 
 
 class Graph:
@@ -499,8 +499,11 @@ def diamond_necklace(k: int) -> Graph:
 # canonical labeling is itself canonical.  Once positions 0..k-1 are fixed
 # the search therefore keeps a branch only if their identity labeling is
 # canonical, and each class comes out exactly once, canonically labeled.
+# Before that test, which costs far more, the search drops a branch that
+# cannot be completed (Meringer's degree check, _can_complete).  Each cap
+# keeps generating one size under about 10 s.
 
-_GENERATION_CAPS = {1: 2, 2: 24, 3: 14, 4: 11, 5: 10, 6: 9, 7: 8}
+_GENERATION_CAPS = {1: 2, 2: 24, 3: 14, 4: 11, 5: 10, 6: 10, 7: 10}
 
 
 def _prefix_is_canonical(k: int, adj: Sequence[int], cols: Sequence[int]) -> bool:
@@ -525,9 +528,26 @@ def _prefix_is_canonical(k: int, adj: Sequence[int], cols: Sequence[int]) -> boo
     return dfs([(0, (1 << k) - 1)], 0)
 
 
+def _can_complete(v: int, d: int, adj: Sequence[int], deg: Sequence[int]) -> bool:
+    """False if some vertex w of v..n-1 has fewer possible partners than the
+    d - deg[w] edges it lacks.  Vertices 0..v-1 have degree d, so a missing
+    edge joins two non-adjacent vertices of v..n-1 that are both below
+    degree d.  A necessary condition for a completion, not a sufficient one."""
+    open_ = 0
+    for w in range(v, len(adj)):
+        if deg[w] < d:
+            open_ |= 1 << w
+    for w in _bits(open_):
+        if (open_ & ~adj[w]).bit_count() - 1 < d - deg[w]:  # less w itself
+            return False
+    return True
+
+
 def generate_connected_regular(n: int, d: int) -> list[Graph]:
     """All connected d-regular graphs on n vertices, up to isomorphism,
     canonically labeled and sorted by canonical key."""
+    if d < 0:
+        raise DomainError("need d >= 0")
     if n < 1:
         raise NoGraphsError("need n >= 1")
     if n * d % 2:
@@ -555,11 +575,11 @@ def generate_connected_regular(n: int, d: int) -> list[Graph]:
             object.__setattr__(g, "_canon", encode_graph6(g))
             found.append(g)
             return
+        if (deg[v] == 0 and v > 0) or not _can_complete(v, d, adj, deg):
+            return  # a closed component (0..v-1 are saturated), or no completion
         # vertices 0..v-1 are complete, so positions 0..min(v+1, intro)-1 are fixed
         if not _prefix_is_canonical(min(v + 1, intro), adj, cols):
             return
-        if deg[v] == 0 and v > 0:
-            return  # vertices 0..v-1 are saturated: closed component
         need = d - deg[v]
         if need == 0:
             complete_vertex(v + 1, intro)

@@ -588,6 +588,38 @@ def reference_generate_connected_regular(n: int, d: int) -> list[Graph]:
     return [found[key] for key in sorted(found)]
 
 
+def brute_completable(d: int, adj: Sequence[int], deg: Sequence[int]) -> bool:
+    """True if edges between non-adjacent vertices can raise every degree to
+    exactly d, found by trying every partner set for the first vertex below
+    d in turn (no pruning)."""
+    n = len(adj)
+    adj, deg = list(adj), list(deg)
+
+    def extend() -> bool:
+        u = next((w for w in range(n) if deg[w] < d), None)
+        if u is None:
+            return True
+        need = d - deg[u]
+        free = [w for w in range(u + 1, n) if deg[w] < d and not adj[u] >> w & 1]
+        for chosen in combinations(free, need):
+            for w in chosen:
+                adj[u] |= 1 << w
+                adj[w] |= 1 << u
+                deg[w] += 1
+            deg[u] = d
+            done = extend()
+            deg[u] = d - need
+            for w in chosen:
+                adj[u] &= ~(1 << w)
+                adj[w] &= ~(1 << u)
+                deg[w] -= 1
+            if done:
+                return True
+        return False
+
+    return all(k <= d for k in deg) and extend()
+
+
 # ---------------------------------------------------------------------------
 # Remez extrema, by a sign scan of e' on a grid
 

@@ -348,6 +348,7 @@ def test_precision_bits_names_its_range(capsys, value, message):
     ["necklace", "--edge", "a,b"],
     ["necklace", "--edge", "1,2,3"],
     ["verify", "--grid-max", "1/1000"],
+    ["verify", "--d", "-2", "--nmax", "4"],
 ])
 def test_bad_input_exits_two_without_traceback(monkeypatch, capsys, argv):
     # these once raised IndexError, ValueError, FileNotFoundError or (for
@@ -390,6 +391,11 @@ def test_bad_input_is_refused_before_any_work(monkeypatch, capsys, argv, message
     monkeypatch.setattr("regmatch.cli.generate_connected_regular", no_work)
     monkeypatch.setattr("regmatch.cli.canonical_key", no_work)
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_negative_degree_names_its_domain(capsys):
+    # once refused as "degree -2 above generation cap (d <= 7)"
+    assert run(capsys, "verify", "--d", "-2", "--nmax", "4") == (2, "", "error: need d >= 0\n")
 
 
 # integer options whose work is bounded some other way: the generation cap

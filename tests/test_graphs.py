@@ -14,6 +14,7 @@ from oracles import (
     FIVE_CYCLE,
     FOUR_CYCLE,
     TRIANGLE,
+    brute_completable,
     brute_count_subgraph,
     brute_max_matching,
     is_connected_edge_list,
@@ -26,10 +27,17 @@ from oracles import (
 )
 from regmatch import graphs as graphs_module
 from regmatch.cli import _read_graph_inputs
-from regmatch.errors import CapacityError, Graph6ParseError, NoGraphsError, RegmatchError
+from regmatch.errors import (
+    CapacityError,
+    DomainError,
+    Graph6ParseError,
+    NoGraphsError,
+    RegmatchError,
+)
 from regmatch.graphs import (
     _GENERATION_CAPS,
     Graph,
+    _can_complete,
     _canonical_order_masks,
     _prefix_is_canonical,
     automorphism_count,
@@ -489,12 +497,63 @@ def test_prefix_test_recognizes_canonical_labelings(g):
         assert _prefix_is_canonical(k, h.adj, _identity_columns(h))
 
 
+@st.composite
+def discovery_states(draw):
+    """(d, v, adj, deg) as generate_connected_regular's search holds them on
+    entering complete_vertex(v, intro): vertices 0..v-1 were completed in
+    order, each joined to old vertices below intro and to the next block of
+    fresh ones, with every choice drawn.  n <= 8 and d <= 5."""
+    n = draw(st.integers(2, 8))
+    d = draw(st.sampled_from([d for d in range(1, min(5, n - 1) + 1) if n * d % 2 == 0]))
+    adj, deg = [0] * n, [0] * n
+    v, intro, stop = 0, 1, draw(st.integers(0, n))
+    while v < stop and not (v > 0 and deg[v] == 0):  # stop at a closed component
+        need = d - deg[v]
+        old = [w for w in range(v + 1, intro) if deg[w] < d]
+        fresh = [j for j in range(min(need, n - intro) + 1) if need - j <= len(old)]
+        if not fresh:
+            break  # v cannot be given its edges: no child state
+        j = draw(st.sampled_from(fresh))
+        for w in draw(st.permutations(old))[:need - j] + list(range(intro, intro + j)):
+            adj[v] |= 1 << w
+            adj[w] |= 1 << v
+            deg[w] += 1
+        deg[v] = d
+        v, intro = v + 1, intro + j
+    return d, v, adj, deg
+
+
+@settings(max_examples=400, deadline=None)
+@given(discovery_states())
+def test_completion_check_refuses_only_dead_branches(state):
+    # the generator skips a refused branch together with its canonicity
+    # test, so a refusal of a completable state would lose graphs
+    d, v, adj, deg = state
+    if not _can_complete(v, d, adj, deg):
+        assert not brute_completable(d, adj, deg)
+
+
+def test_generation_prunes_before_the_prefix_test(monkeypatch):
+    """Cubic n = 12 runs 3,427 prefix tests (4,876 without the completion
+    check): a change that drops the pruning, or weakens it, fails here."""
+    calls = []
+    prefix_test = graphs_module._prefix_is_canonical
+
+    def counting(k, adj, cols):
+        calls.append(k)
+        return prefix_test(k, adj, cols)
+
+    monkeypatch.setattr(graphs_module, "_prefix_is_canonical", counting)
+    assert len(generate_connected_regular(12, 3)) == 85
+    assert len(calls) == 3427
+
+
 def _listing(graphs):
     return [(canonical_key(g), g.edges) for g in graphs]
 
 
 # every (d, n) with d >= 2 at which the reference generator takes under about
-# 1 s (6-regular n = 9 takes about 2 s and is checked at the cap below)
+# 1 s (6-regular n = 9 takes about 2 s and is checked by its digest below)
 _REFERENCE_JOBS = [(2, n) for n in range(3, 25)] + [
     (3, 4), (3, 6), (3, 8), (3, 10), (4, 5), (4, 6), (4, 7), (4, 8), (4, 9),
     (5, 6), (5, 8), (6, 7), (6, 8), (7, 8)]
@@ -511,23 +570,38 @@ def test_generation_matches_reference(cubic_by_n, quartic_by_n, fivereg_by_n):
 
 # d: (cap, count, sha256 of the newline-joined canonical keys).  The counts
 # are OEIS A002851, A006820, A006821, A006822 and A014377; the digests were
-# recorded from the reference generator.
+# recorded from the reference generator, and for 6-regular and 7-regular
+# n = 10 from the orderly generator before it dropped uncompletable branches.
 _AT_THE_CAPS = {
     3: (14, 509, "982bda7e5c1b3e451f1141f44800e11decff1548615f957e4a68a469d9e9b2ce"),
     4: (11, 265, "562b2209efa72cc690b7ea5ae0c4ce10ec1ba15187e36043fb3f5a6e7064fc2a"),
     5: (10, 60, "11628c01ef85ed002153c63265f8f51d51cf180493ec06e15c48ca648bc09dab"),
+    6: (10, 21, "c58e9d758177a4ec03c5bbcf7d3ba71df8e27471f47d74b440e55064d4c7a86f"),
+    7: (10, 5, "682636b9f69d5287da15eaccd989a361b70b2c34f8361343caff7a7110a3e874"),
+}
+# the caps for d = 6 and 7 were n = 9 and n = 8, with these digests
+_AT_THE_OLD_CAPS = {
     6: (9, 4, "d3f4735221737c9ddf8784535c6257c0576e7ea178bc63083f37c06427096a1f"),
     7: (8, 1, "34fff80f29e6e5db50f4bf2f96090017e56e96e92f2c76f3ef2c52c4c11bab33"),
 }
+
+
+def _check_digest(d, n, count, digest):
+    keys = [canonical_key(g) for g in generate_connected_regular(n, d)]
+    assert len(keys) == count
+    assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("d", sorted(_AT_THE_CAPS))
 def test_generation_at_the_cap(d):
     n, count, digest = _AT_THE_CAPS[d]
     assert n == _GENERATION_CAPS[d]
-    keys = [canonical_key(g) for g in generate_connected_regular(n, d)]
-    assert len(keys) == count
-    assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == digest
+    _check_digest(d, n, count, digest)
+
+
+@pytest.mark.parametrize("d", sorted(_AT_THE_OLD_CAPS))
+def test_generation_at_the_old_cap(d):
+    _check_digest(d, *_AT_THE_OLD_CAPS[d])
 
 
 def test_generation_empty_families():
@@ -543,6 +617,14 @@ def test_generation_cap_enforced():
     cap = _GENERATION_CAPS[3]
     with pytest.raises(CapacityError):
         generate_connected_regular(cap + 2, 3)
+
+
+def test_generation_refuses_a_negative_degree():
+    # a NoGraphsError here would be swallowed by the CLI's corpus loop,
+    # leaving an empty corpus that exits 0
+    for n, d in ((4, -2), (5, -3), (0, -1)):
+        with pytest.raises(DomainError, match="need d >= 0"):
+            generate_connected_regular(n, d)
 
 
 def test_generation_matches_literal_enumeration_cubic_8():
