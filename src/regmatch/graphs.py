@@ -22,28 +22,26 @@ class Graph:
 
     # _canon and _counts are filled on first use by canonical_key and by
     # matchpoly (the matching coefficients), so repeated queries are free
-    __slots__ = ("n", "edges", "adj", "_canon", "_counts")
+    __slots__ = ("n", "adj", "_canon", "_counts")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         adj = [0] * n
-        norm = set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) outside vertex range 0..{n-1}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in norm:
-                raise ValueError(f"parallel edge ({u},{v})")
-            norm.add((u, v))
+            if adj[u] >> v & 1:
+                raise ValueError(f"parallel edge ({min(u, v)},{max(u, v)})")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
-        object.__setattr__(self, "adj", tuple(adj))
-        object.__setattr__(self, "_canon", None)
-        object.__setattr__(self, "_counts", None)
+        self._init(adj)
+
+    def _init(self, adj: Sequence[int]) -> "Graph":
+        """Fill the slots, unchecked, from symmetric and loop-free masks."""
+        for name, value in zip(Graph.__slots__, (len(adj), tuple(adj), None, None)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -60,6 +58,11 @@ class Graph:
             return 0
         return None
 
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (u, v) with u < v, in ascending order."""
+        return tuple((u, v) for u, m in enumerate(self.adj) for v in _bits(m) if v > u)
+
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
@@ -68,9 +71,7 @@ class Graph:
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph relabeled to 0..len(vertices)-1 (in given order)."""
-        masks = _induced_masks(self.adj, vertices)
-        return Graph(len(masks), [(i, j) for i, m in enumerate(masks)
-                                  for j in _bits(m) if j > i])
+        return Graph.__new__(Graph)._init(_induced_masks(self.adj, vertices))
 
     def relabel(self, order: Sequence[int]) -> "Graph":
         """Graph with new vertex i = old vertex order[i]."""
@@ -79,10 +80,10 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self.adj)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={len(self.edges)})"
@@ -211,6 +212,9 @@ def encode_graph6(g: Graph) -> str:
 # decreasing key order; the top cell is the tie set.  Placing u splits each
 # cell into neighbors of u (key << 1 | 1) and the rest (key << 1), in order.
 
+_CANON_NODE_CAP = 1 << 24  # search nodes: K_10 takes 9,864,101, K_11 about 1.1e8
+
+
 def _place(cells: list[tuple[int, int]], u: int,
            adj: Sequence[int]) -> list[tuple[int, int]]:
     """The cells of the child node that places u."""
@@ -233,10 +237,10 @@ def _canonical_order_masks(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...],
         return (), 1
     best_levels = [-1] * n
     placed = []
-    order, aut = None, 0
+    order, aut, nodes = None, 0, 0
 
     def dfs(cells: list[tuple[int, int]]) -> None:
-        nonlocal order, aut
+        nonlocal order, aut, nodes
         k = len(placed)
         if k == n:
             if order is None:
@@ -253,6 +257,9 @@ def _canonical_order_masks(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...],
                 best_levels[i] = -1
             order = None
             aut = 0
+        nodes += top.bit_count()  # every node but the root is counted as a child
+        if nodes > _CANON_NODE_CAP:
+            raise CapacityError(f"canonical search past {_CANON_NODE_CAP} nodes")
         while top:  # the children are _bits(top), in increasing order
             low = top & -top
             top ^= low
@@ -571,7 +578,7 @@ def generate_connected_regular(n: int, d: int) -> list[Graph]:
 
     def complete_vertex(v: int, intro: int) -> None:
         if v == n:  # the whole graph was fixed, and tested, at v = n - 1
-            g = Graph(n, [(i, j) for i in range(n) for j in _bits(adj[i]) if j > i])
+            g = Graph.__new__(Graph)._init(adj)
             object.__setattr__(g, "_canon", encode_graph6(g))
             found.append(g)
             return

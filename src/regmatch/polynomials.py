@@ -178,54 +178,54 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return Poly(q), Poly(r[:db])
 
 
+def _remainders(a: Poly, b: Poly) -> list[Poly]:
+    """The signed remainder sequence a, b, -rem(a, b), ... without zero
+    entries, up to its last nonzero one: gcd(a, b) up to a constant."""
+    seq = [a, b]
+    while seq[-1].degree >= 1:
+        _, r = poly_divmod(seq[-2], seq[-1])
+        if r.is_zero():
+            break
+        seq.append(-r)
+    return [q for q in seq if not q.is_zero()]
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals."""
-    while not b.is_zero():
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return a.monic() if not a.is_zero() else a
-
-
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun-style decomposition: p = lead * prod f_i**i with f_i squarefree, monic.
-
-    Returns [(f_i, i)] for nonconstant f_i only.
-    """
-    if p.degree < 1:
-        return []
-    p = p.monic()
-    out: list[tuple[Poly, int]] = []
-    g = poly_gcd(p, p.derivative())
-    w, _ = poly_divmod(p, g)  # product of distinct factors
-    i = 1
-    while w.degree >= 1:
-        y = poly_gcd(w, g)
-        f, _ = poly_divmod(w, y)
-        if f.degree >= 1:
-            out.append((f.monic(), i))
-        w = y
-        g, _ = poly_divmod(g, y)
-        i += 1
-    return out
-
-
-def squarefree_part(p: Poly) -> Poly:
-    if p.degree < 1:
-        return p.monic()
-    g = poly_gcd(p, p.derivative())
-    q, _ = poly_divmod(p, g)
-    return q.monic()
+    """Monic gcd over the rationals (zero when a and b are both zero)."""
+    return (_remainders(a, b) or [Poly()])[-1].monic()
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
-    """Standard Sturm sequence p, p', -rem(...), ... for squarefree p."""
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree >= 1:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        if r.is_zero():
-            break
-        chain.append(-r)
-    return [q for q in chain if not q.is_zero()]
+    """Sturm sequence p, p', -rem(p, p'), ..., ending at gcd(p, p') up to a
+    constant, which divides every entry: at a point that is not a root of p
+    the sign variations count p's distinct roots, squarefree or not."""
+    return _remainders(p, p.derivative())
+
+
+def _gcd_levels(p: Poly) -> list[list[Poly]]:
+    """Sturm chains of the gcd levels g_0 = p, g_{k+1} = gcd(g_k, g_k') (the
+    last entry of g_k's chain), for as long as g_k is nonconstant.  A root
+    of p of multiplicity m is a root of g_0..g_{m-1}, each counted once."""
+    chains = []
+    while p.degree >= 1:
+        chains.append(sturm_chain(p))
+        p = chains[-1][-1]
+    return chains
+
+
+def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
+    """[(f_i, i)] for the nonconstant f_i, in increasing i, where p = lead *
+    prod f_i**i with f_i squarefree and monic: f_k = h_k / h_{k+1} made
+    monic, where h_k = g_{k-1} / g_k has the factors of multiplicity >= k."""
+    g = [chain[0] for chain in _gcd_levels(p)] + [Poly.const(1)]
+    h = [poly_divmod(a, b)[0] for a, b in zip(g, g[1:])] + [Poly.const(1)]
+    fs = (poly_divmod(a, b)[0] for a, b in zip(h, h[1:]))
+    return [(f.monic(), i) for i, f in enumerate(fs, start=1) if f.degree >= 1]
+
+
+def squarefree_part(p: Poly) -> Poly:
+    chain = sturm_chain(p)  # [] for p = 0, which is returned as is
+    return poly_divmod(p, chain[-1])[0].monic() if chain else p
 
 
 def _sign(x) -> int:
@@ -245,15 +245,14 @@ def _chain_signs_at(chain: Sequence[Poly], x) -> list[int]:
     return [_sign(q(x)) for q in chain]
 
 
-def _sturm_count(sf: Poly, lo, hi) -> int:
-    """Distinct real roots of the squarefree nonconstant sf in (lo, hi);
-    0 when lo >= hi."""
+def _sturm_count(chain: Sequence[Poly], lo, hi) -> int:
+    """Distinct real roots in (lo, hi) of the nonconstant chain[0], given its
+    Sturm chain; 0 when lo >= hi."""
     a = "-inf" if lo is None else Fraction(lo)
     b = "+inf" if hi is None else Fraction(hi)
-    chain = sturm_chain(sf)
     sa, sb = _chain_signs_at(chain, a), _chain_signs_at(chain, b)
     for endpoint, signs in ((a, sa), (b, sb)):
-        if signs[0] == 0:  # chain[0] is sf itself
+        if signs[0] == 0:  # chain[0] is the polynomial itself
             raise ValueError(f"interval endpoint {endpoint} is a root")
     if lo is not None and hi is not None and a >= b:
         return 0
@@ -270,10 +269,10 @@ def count_distinct_real_roots(p: Poly, lo=None, hi=None) -> int:
     """
     if p.degree < 1:
         return 0
-    return _sturm_count(squarefree_part(p), lo, hi)
+    return _sturm_count(sturm_chain(p), lo, hi)
 
 
 def count_real_roots_with_multiplicity(p: Poly, lo=None, hi=None) -> int:
-    """Total number of real roots in (lo, hi) counted with multiplicity."""
-    return sum(mult * _sturm_count(factor, lo, hi)
-               for factor, mult in squarefree_decomposition(p))
+    """Total number of real roots in (lo, hi) counted with multiplicity, as
+    the sum of the distinct counts over the gcd levels."""
+    return sum(_sturm_count(chain, lo, hi) for chain in _gcd_levels(p))

@@ -29,7 +29,7 @@ from regmatch.graphs import (
     complete,
 )
 from regmatch.necklace import CriticalConstant, TransferMatrix, qd_recursive
-from regmatch.polynomials import Poly, _horner, _poly_mul
+from regmatch.polynomials import Poly, _horner, _poly_mul, count_distinct_real_roots
 from regmatch.polytope import OddSetViolation
 
 
@@ -764,3 +764,25 @@ def reference_parse_graph6(text: str, line: int | None = None) -> Graph:
         if (body[-1] - 63) & ((1 << pad) - 1):
             raise Graph6ParseError("nonzero padding bits", nbytes, line)
     return Graph(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# The cubic inequality on the whole interval
+
+COVER_END = Fraction("0.3575")
+
+
+def cubic_whole_interval_verdict(g: Graph) -> str:
+    """'equality', 'holds' or 'fails' for M_G(lam)^4 >= M_{K_4}(lam)^n on all
+    of (0, 0.3575], for a cubic G on n vertices, decided once for the whole
+    interval instead of point by point: P_G = M_G^4 - M_{K_4}^n is zero
+    (G = K_4), or, with its largest power of lam divided out, it has no root
+    in (0, 0.3575) and is positive at 0.3575.  P_G need not be squarefree."""
+    diff = Poly(reference_matching_counts(g)) ** 4 - Poly([1, 6, 3]) ** g.n
+    if diff.is_zero():
+        return "equality"
+    low = next(k for k, c in enumerate(diff.coeffs) if c)
+    p = Poly(diff.coeffs[low:])
+    if p(COVER_END) > 0 and count_distinct_real_roots(p, 0, COVER_END) == 0:
+        return "holds"
+    return "fails"

@@ -48,6 +48,16 @@ def test_poly_stdin(monkeypatch, capsys):
     assert out.strip() == "1 6 3"
 
 
+def test_poly_refuses_a_canonical_search_past_the_node_cap(monkeypatch, capsys):
+    # K_4's search takes 64 counted nodes, K_6's 1,956; nothing is printed
+    monkeypatch.setattr("regmatch.graphs._CANON_NODE_CAP", 100)
+    text = f"{encode_graph6(complete(4))}\n{encode_graph6(complete(6))}\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, "poly") == (2, "", "error: canonical search past 100 nodes\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text.split()[0]))
+    assert run(capsys, "poly") == (0, "1 6 3\n", "")
+
+
 def test_poly_malformed_names_line(tmp_path, capsys):
     path = tmp_path / "bad.g6"
     path.write_text("C~\nC\n")

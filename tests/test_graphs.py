@@ -122,6 +122,22 @@ def test_relabel_preserves_structure():
     assert isomorphic(g, h)
 
 
+@settings(max_examples=80, deadline=None)
+@given(small_graphs(9), st.data())
+def test_mask_path_equals_the_validated_constructor(g, data):
+    # induced and relabel build a Graph from masks, without the edge checks
+    vertices = data.draw(st.lists(st.integers(0, max(g.n - 1, 0)), unique=True,
+                                  max_size=g.n))
+    perm = data.draw(st.permutations(range(g.n)))
+    for keep, h in ((vertices, g.induced(vertices)), (perm, g.relabel(perm))):
+        pos = {v: i for i, v in enumerate(keep)}
+        mapped = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
+        ref = Graph(len(keep), mapped)
+        assert h == ref and hash(h) == hash(ref)
+        assert h.n == ref.n == len(keep)
+        assert h.edges == ref.edges == tuple(sorted((min(e), max(e)) for e in mapped))
+
+
 def test_duplicate_and_loop_edges_rejected():
     with pytest.raises(ValueError):
         Graph(3, [(0, 1), (1, 0)])
@@ -322,6 +338,15 @@ def test_automorphism_counts():
     }
     for name, aut in expected.items():
         assert automorphism_count(NAMED[name]) == aut, name
+
+
+def test_canonical_search_refuses_past_its_node_cap(monkeypatch):
+    # K_5's search visits floor(e * 5!) = 326 nodes, the root and 325 children
+    monkeypatch.setattr(graphs_module, "_CANON_NODE_CAP", 325)
+    assert automorphism_count(complete(5)) == 120
+    monkeypatch.setattr(graphs_module, "_CANON_NODE_CAP", 324)
+    with pytest.raises(CapacityError, match="canonical search past 324 nodes"):
+        canonical_key(complete(5))
 
 
 def test_isomorphic_distinguishes():

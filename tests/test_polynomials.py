@@ -152,7 +152,7 @@ _RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 def _factored(draw):
     """c * prod (x - r_i)^m_i, perhaps times x^2 + 1, with its real roots."""
     roots = draw(st.lists(_RATIONALS, min_size=1, max_size=4, unique=True))
-    mults = draw(st.lists(st.integers(1, 3), min_size=len(roots),
+    mults = draw(st.lists(st.integers(1, 4), min_size=len(roots),
                           max_size=len(roots)))
     p = Poly.const(draw(_RATIONALS.filter(bool)))
     for r, m in zip(roots, mults):
@@ -178,6 +178,27 @@ def test_root_counts_match_known_factorization(case, lo, hi):
               if (lo is None or lo < r) and (hi is None or r < hi)}
     assert count_distinct_real_roots(p, lo, hi) == len(inside)
     assert count_real_roots_with_multiplicity(p, lo, hi) == sum(inside.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_factored())
+def test_squarefree_decomposition_matches_known_factorization(case):
+    p, roots = case
+    by_mult = {}
+    for r, m in roots.items():
+        by_mult[m] = by_mult.get(m, Poly.const(1)) * root(r)
+    if p.degree > sum(roots.values()):  # the factor x^2 + 1
+        by_mult[1] = by_mult.get(1, Poly.const(1)) * Poly([1, 0, 1])
+    parts = squarefree_decomposition(p)
+    assert parts == [(by_mult[m].monic(), m) for m in sorted(by_mult)]
+    product = Poly.const(p.leading)
+    for f, m in parts:
+        product = product * f ** m
+    assert product == p
+    distinct = Poly.const(1)
+    for f in by_mult.values():
+        distinct = distinct * f
+    assert squarefree_part(p) == distinct.monic()
 
 
 def test_empty_interval_has_no_roots():

@@ -1,11 +1,14 @@
 """Truncated log series, density deficits, and certified verdicts."""
 
+import json
 from fractions import Fraction
 
 import mpmath
 import pytest
+from oracles import cubic_whole_interval_verdict
 
 from regmatch.certified import DEFAULT_BITS, MAX_BITS, Enclosure, Verdict, log_enclosure
+from regmatch.cli import main
 from regmatch.errors import DomainError
 from regmatch.graphs import (
     canonical_key,
@@ -249,6 +252,21 @@ def test_verify_inequality_same_as_generic_comparison():
                 rep = verify_inequality(g, 3, lam, bits=bits)
                 assert rep == compare_log_per_vertex(
                     gen_poly_value(g, lam), g.n, k4(lam), 4, bits=bits)
+
+
+def test_verify_grid_agrees_with_the_whole_interval_oracle(cubic_by_n, capsys):
+    # the oracle decides (0, 0.3575] at once, the grid at its 143 points
+    oracle = {canonical_key(g): cubic_whole_interval_verdict(g)
+              for graphs in cubic_by_n.values() for g in graphs}
+    assert sorted(cubic_by_n) == [4, 6, 8, 10]  # every cubic n <= 10
+    assert oracle.pop(canonical_key(complete(4))) == "equality"
+    assert set(oracle.values()) == {"holds"}
+    assert main(["verify", "--d", "3", "--nmax", "10", "--format", "json"]) == 0
+    items = json.loads(capsys.readouterr().out)["items"]
+    assert len(items) == 143 * (len(oracle) + 1)
+    for item in items:
+        assert item["verdict"] == "HOLDS"
+        assert item["equality"] == (item["canonical_key"] not in oracle)
 
 
 # ---------------------------------------------------------------------------
