@@ -25,6 +25,8 @@ class Graph:
     __slots__ = ("n", "adj", "_canon", "_counts")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -331,6 +333,8 @@ def path_graph(n: int) -> Graph:
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
+    if a < 0 or b < 0:
+        raise ValueError(f"negative part size in K_{{{a},{b}}}")
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
@@ -507,7 +511,13 @@ def diamond_necklace(k: int) -> Graph:
 # the search therefore keeps a branch only if their identity labeling is
 # canonical, and each class comes out exactly once, canonically labeled.
 # Before that test, which costs far more, the search drops a branch that
-# cannot be completed (Meringer's degree check, _can_complete).  Each cap
+# cannot be completed (Meringer's degree check, _can_complete).  Many
+# branches reach the same fixed prefix, so one call keeps each prefix
+# test's answer in a dict keyed by cols[0..k-1].  The key is exact: the test
+# reads only the subgraph induced on positions 0..k-1 (_place masks every
+# cell to bits < k), those columns encode exactly that subgraph, their
+# number is k, and they are final once the test runs.  The degree check
+# reads vertices past the prefix, so it runs before the lookup.  Each cap
 # keeps generating one size under about 10 s.
 
 _GENERATION_CAPS = {1: 2, 2: 24, 3: 14, 4: 11, 5: 10, 6: 10, 7: 10}
@@ -575,6 +585,7 @@ def generate_connected_regular(n: int, d: int) -> list[Graph]:
     deg = [0] * n
     cols = [0] * n  # cols[w]: w's adjacency to positions 0..w-1, row 0 highest
     found: list[Graph] = []
+    canonical: dict[tuple[int, ...], bool] = {}  # prefix test per leading subgraph
 
     def complete_vertex(v: int, intro: int) -> None:
         if v == n:  # the whole graph was fixed, and tested, at v = n - 1
@@ -585,7 +596,10 @@ def generate_connected_regular(n: int, d: int) -> list[Graph]:
         if (deg[v] == 0 and v > 0) or not _can_complete(v, d, adj, deg):
             return  # a closed component (0..v-1 are saturated), or no completion
         # vertices 0..v-1 are complete, so positions 0..min(v+1, intro)-1 are fixed
-        if not _prefix_is_canonical(min(v + 1, intro), adj, cols):
+        key = tuple(cols[:min(v + 1, intro)])
+        if key not in canonical:
+            canonical[key] = _prefix_is_canonical(len(key), adj, cols)
+        if not canonical[key]:
             return
         need = d - deg[v]
         if need == 0:

@@ -147,6 +147,17 @@ def test_duplicate_and_loop_edges_rejected():
         Graph(2, [(0, 5)])
 
 
+def test_negative_sizes_rejected():
+    # a negative size is an error, not an empty (or smaller) graph
+    for make in (lambda: Graph(-1, []), lambda: complete(-3), lambda: path_graph(-2),
+                 lambda: circulant(-5, (1,)), lambda: complete_bipartite(-1, 2),
+                 lambda: complete_bipartite(2, -1)):
+        with pytest.raises(ValueError, match="negative"):
+            make()
+    assert Graph(0, []).n == complete(0).n == path_graph(0).n == 0
+    assert complete_bipartite(0, 2) == Graph(2, [])
+
+
 # ---------------------------------------------------------------------------
 # graph6 codec
 
@@ -559,18 +570,39 @@ def test_completion_check_refuses_only_dead_branches(state):
 
 
 def test_generation_prunes_before_the_prefix_test(monkeypatch):
-    """Cubic n = 12 runs 3,427 prefix tests (4,876 without the completion
-    check): a change that drops the pruning, or weakens it, fails here."""
+    """Cubic n = 12 runs 1,040 prefix tests, one per distinct fixed prefix
+    (3,427 without the memo, 4,876 without the completion check either): a
+    change that drops the pruning or the memo, or weakens either, fails here."""
     calls = []
     prefix_test = graphs_module._prefix_is_canonical
 
     def counting(k, adj, cols):
-        calls.append(k)
+        calls.append((k, tuple(cols[:k])))
         return prefix_test(k, adj, cols)
 
     monkeypatch.setattr(graphs_module, "_prefix_is_canonical", counting)
     assert len(generate_connected_regular(12, 3)) == 85
-    assert len(calls) == 3427
+    assert len(calls) == 1040
+    assert len(set(calls)) == len(calls)  # no prefix reaches the test twice
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(9), st.booleans(), st.data())
+def test_prefix_test_reads_only_the_prefix(g, canonical, data):
+    # the generator's memo keys the prefix test by cols[0..k-1] alone, so
+    # adding or removing edges at positions k and above must not change it
+    if canonical:
+        g = canonical_form(g)
+    k = data.draw(st.integers(0, g.n))
+    touching = [(i, j) for j in range(k, g.n) for i in range(j)]
+    flips = data.draw(st.lists(st.sampled_from(touching), unique=True)) if touching else []
+    h = Graph(g.n, set(g.edges) ^ set(flips))
+    answer = _prefix_is_canonical(k, g.adj, _identity_columns(g))
+    assert _prefix_is_canonical(k, h.adj, _identity_columns(h)) == answer
+    prefix = g.induced(range(k))
+    assert answer == (prefix == canonical_form(prefix))
+    if canonical:
+        assert answer
 
 
 def _listing(graphs):
