@@ -1,9 +1,11 @@
 """Certified numerics: exact rational enclosures and three-way verdicts.
 
 Every inequality reported by this package is decided either by exact
-rational arithmetic or by directed-rounding interval arithmetic (mpmath's
-iv context) whose endpoints are converted back to exact fractions.  A
-comparison that interval arithmetic cannot settle at the precision cap is
+rational arithmetic or by directed-rounding interval arithmetic whose
+endpoints are converted back to exact fractions.  The intervals are libmp's
+(mpmath.libmp, the mpi_* functions) at an explicit working precision of
+bits + _GUARD_BITS, passed to every call; no global precision is read or set.
+A comparison that interval arithmetic cannot settle at the precision cap is
 reported INCONCLUSIVE, never guessed.
 """
 
@@ -11,12 +13,10 @@ from __future__ import annotations
 
 import enum
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, TypeVar
 
-import mpmath
 from mpmath import libmp
 
 from .errors import DomainError
@@ -83,51 +83,48 @@ def _mpf_to_fraction(raw) -> Fraction:
     return Fraction(*libmp.to_rational(raw))
 
 
-def _iv_to_enclosure(x) -> Enclosure:
-    lo_raw, hi_raw = x._mpi_
-    return Enclosure(_mpf_to_fraction(lo_raw), _mpf_to_fraction(hi_raw))
+def _enclosure(x) -> Enclosure:
+    """The libmp interval x = (lo, hi) as an Enclosure."""
+    return Enclosure(_mpf_to_fraction(x[0]), _mpf_to_fraction(x[1]))
 
 
-def _check_bits(bits: int) -> None:
+def _working_precision(bits: int) -> int:
+    """libmp precision for a `bits`-bit result; bits must be 1..MAX_BITS
+    (libmp never returns at a precision <= 0)."""
     if not 1 <= bits <= MAX_BITS:
         raise DomainError(f"precision must be 1..{MAX_BITS} bits, got {bits}")
+    return bits + _GUARD_BITS
 
 
-@contextmanager
-def _iv_precision(bits: int):
-    """mpmath's iv context at bits + _GUARD_BITS, restored on exit; the only
-    place that sets the interval precision."""
-    iv = mpmath.iv
-    old = iv.prec
-    iv.prec = bits + _GUARD_BITS
-    try:
-        yield iv
-    finally:
-        iv.prec = old
+def _interval(q, prec: int):
+    """Outward-rounded libmp interval of the rational (or int) q."""
+    p, r = q.numerator, q.denominator
+    floor, ceiling = libmp.round_floor, libmp.round_ceiling
+    return libmp.mpi_div((libmp.from_int(p, prec, floor), libmp.from_int(p, prec, ceiling)),
+                         (libmp.from_int(r, prec, floor), libmp.from_int(r, prec, ceiling)),
+                         prec)
 
 
 def log_enclosure(q: Fraction, bits: int = DEFAULT_BITS) -> Enclosure:
     """Rigorous enclosure of ln(q) for a positive rational q."""
+    prec = _working_precision(bits)
     q = Fraction(q)
     if q <= 0:
         raise DomainError(f"log of non-positive value {q}")
     if q == 1:
         return Enclosure.exact(0)
-    with _iv_precision(bits) as iv:
-        x = iv.mpf(q.numerator) / iv.mpf(q.denominator)
-        return _iv_to_enclosure(iv.log(x))
+    return _enclosure(libmp.mpi_log(_interval(q, prec), prec))
 
 
 def sqrt_enclosure(q: Fraction, bits: int = DEFAULT_BITS) -> Enclosure:
+    prec = _working_precision(bits)
     q = Fraction(q)
     if q < 0:
         raise DomainError(f"sqrt of negative value {q}")
     r, exact = _isqrt_frac(q)
     if exact:
         return Enclosure.exact(r)
-    with _iv_precision(bits) as iv:
-        x = iv.mpf(q.numerator) / iv.mpf(q.denominator)
-        return _iv_to_enclosure(iv.sqrt(x))
+    return _enclosure(libmp.mpi_sqrt(_interval(q, prec), prec))
 
 
 def _isqrt_frac(q: Fraction) -> tuple[Fraction, bool]:

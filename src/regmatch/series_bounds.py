@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial
 from math import comb
-from typing import Callable
 
-from .certified import (DEFAULT_BITS, Enclosure, Verdict, _check_bits,
-                        _escalate, _iv_precision, _iv_to_enclosure,
+from mpmath import libmp
+
+from .certified import (DEFAULT_BITS, Enclosure, Verdict, _enclosure,
+                        _escalate, _interval, _working_precision,
                         log_enclosure)
 from .errors import DomainError
 from .graphs import Graph, count_subgraphs, neighborhood_edge_counts
@@ -177,34 +177,15 @@ class InequalityReport:
     bits: int
 
 
-def _per_vertex_log(value: Fraction, n: int) -> Callable[[int], Enclosure]:
-    """bits -> enclosure of (1/n) ln value."""
-    return lambda bits: log_enclosure(value, bits) / n
-
-
-@lru_cache(maxsize=1024)  # bounded: a long sweep over many lam keeps a fixed size
-def _complete_log(d: int, lam: Fraction, bits: int) -> Enclosure:
-    """(1/(d+1)) ln M_{K_{d+1}}(lam), shared by every graph compared at lam."""
-    return log_enclosure(q_complete(d + 1)(lam), bits) / (d + 1)
-
-
 def compare_log_per_vertex(a: Fraction, n: int, b: Fraction, m: int,
-                           bits: int = DEFAULT_BITS, *,
-                           log_a: Callable[[int], Enclosure] | None = None,
-                           log_b: Callable[[int], Enclosure] | None = None
-                           ) -> InequalityReport:
+                           bits: int = DEFAULT_BITS) -> InequalityReport:
     """Certified verdict for (1/n) ln a >= (1/m) ln b, decided exactly as
-    a^m >= b^n; the reported margin enclosure is tightened until its sign
-    agrees with the exact verdict.
-
-    log_a(bits) and log_b(bits), when given, must enclose (1/n) ln a and
-    (1/m) ln b at that precision; callers pass them to reuse one side's
-    enclosures across many comparisons."""
-    _check_bits(bits)
+    a^m >= b^n.  The reported margin is log_enclosure(a)/n - log_enclosure(b)/m,
+    recomputed at doubled precision (up to MAX_BITS) until its sign agrees
+    with the exact verdict."""
+    _working_precision(bits)  # rejects bits outside 1..MAX_BITS up front
     if a <= 0 or b <= 0:
         raise DomainError("log comparison needs positive values")
-    log_a = log_a or _per_vertex_log(a, n)
-    log_b = log_b or _per_vertex_log(b, m)
     lhs, rhs = a ** m, b ** n
     equality = lhs == rhs
     verdict = Verdict.HOLDS if lhs >= rhs else Verdict.FAILS
@@ -212,7 +193,7 @@ def compare_log_per_vertex(a: Fraction, n: int, b: Fraction, m: int,
         return InequalityReport(verdict, Enclosure.exact(0), True, a, bits)
     # the verdict is exact regardless; at MAX_BITS only the margin stays coarse
     margin, used = _escalate(
-        lambda prec: log_a(prec) - log_b(prec),
+        lambda prec: log_enclosure(a, prec) / n - log_enclosure(b, prec) / m,
         (lambda m: m.lo > 0) if lhs > rhs else (lambda m: m.hi < 0), bits)
     return InequalityReport(verdict, margin, False, a, used)
 
@@ -229,8 +210,7 @@ def verify_inequality(g: Graph, d: int, lam,
         raise DomainError(f"M_G({lam}) = {a} is not positive")
     if b <= 0:
         raise DomainError(f"M_K_{d+1}({lam}) = {b} is not positive")
-    return compare_log_per_vertex(a, g.n, b, d + 1, bits,
-                                  log_b=partial(_complete_log, d, lam))
+    return compare_log_per_vertex(a, g.n, b, d + 1, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +224,7 @@ def tree_closed_form(d: int, lam, bits: int = DEFAULT_BITS) -> Enclosure:
         eta = (sqrt(1+4(d-1)lam) - 1) / (2(d-1)lam),
 
     valid for lam >= -1/(4(d-1)); the value at lam = 0 is 0."""
+    prec = _working_precision(bits)
     lam = Fraction(lam)
     if d < 2:
         raise DomainError("need d >= 2")
@@ -251,14 +232,19 @@ def tree_closed_form(d: int, lam, bits: int = DEFAULT_BITS) -> Enclosure:
         return Enclosure.exact(0)
     if 1 + 4 * (d - 1) * lam < 0:
         raise DomainError(f"lam = {lam} below -1/(4(d-1)): tree value undefined")
-    with _iv_precision(bits) as iv:
-        lam_iv = iv.mpf(lam.numerator) / iv.mpf(lam.denominator)
-        disc = 1 + 4 * (d - 1) * lam_iv
-        eta = (iv.sqrt(disc) - 1) / (2 * (d - 1) * lam_iv)
-        s = 1 / (eta * eta)
-        if d > 2:
-            s = s * ((d - 1) / (d - eta)) ** (d - 2)
-        return _iv_to_enclosure(iv.log(s) / 2)
+    add, sub, mul, div = libmp.mpi_add, libmp.mpi_sub, libmp.mpi_mul, libmp.mpi_div
+    lam_i, one = _interval(lam, prec), _interval(1, prec)
+    lo, hi = add(one, mul(_interval(4 * (d - 1), prec), lam_i, prec), prec)
+    # the exact discriminant is >= 0 (checked above), but at a lam that is not
+    # dyadic, such as -1/(4(d-1)) itself, its rounded enclosure can dip below 0
+    disc = (libmp.fzero if libmp.mpf_sign(lo) < 0 else lo, hi)
+    eta = div(sub(libmp.mpi_sqrt(disc, prec), one, prec),
+              mul(_interval(2 * (d - 1), prec), lam_i, prec), prec)
+    s = div(one, mul(eta, eta, prec), prec)
+    if d > 2:
+        ratio = div(_interval(d - 1, prec), sub(_interval(d, prec), eta, prec), prec)
+        s = mul(s, libmp.mpi_pow_int(ratio, d - 2, prec), prec)
+    return _enclosure(div(libmp.mpi_log(s, prec), _interval(2, prec), prec))
 
 
 @dataclass(frozen=True)
@@ -281,7 +267,7 @@ class SandwichReport:
 
 def negative_lambda_sandwich(g: Graph, d: int, lam,
                              bits: int = DEFAULT_BITS) -> SandwichReport:
-    _check_bits(bits)
+    _working_precision(bits)  # rejects bits outside 1..MAX_BITS up front
     if g.regular_degree() != d:
         raise DomainError("graph is not d-regular")
     lam = Fraction(lam)
@@ -293,15 +279,11 @@ def negative_lambda_sandwich(g: Graph, d: int, lam,
     value_k = q_complete(d + 1)(lam)
     if value_k <= 0:
         raise DomainError(f"M_K_{d+1}({lam}) = {value_k} is not positive")
-    # both sides need G's per-vertex log, at the same precisions
-    graph_log = cache(_per_vertex_log(value_g, g.n))
     # upper side is exact: (1/n) ln M_G <= (1/(d+1)) ln M_K
-    upper = compare_log_per_vertex(value_k, d + 1, value_g, g.n, bits,
-                                   log_a=partial(_complete_log, d, lam),
-                                   log_b=graph_log)
+    upper = compare_log_per_vertex(value_k, d + 1, value_g, g.n, bits)
     # lower side needs the (irrational) tree value; escalate then give up
     lower_margin, used = _escalate(
-        lambda prec: graph_log(prec) - tree_closed_form(d, lam, prec),
+        lambda prec: log_enclosure(value_g, prec) / g.n - tree_closed_form(d, lam, prec),
         lambda m: m.lo >= 0 or m.hi < 0, bits)
     lower = (Verdict.HOLDS if lower_margin.lo >= 0 else
              Verdict.FAILS if lower_margin.hi < 0 else Verdict.INCONCLUSIVE)

@@ -9,15 +9,17 @@ scale.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, isqrt
 from typing import Sequence
 
 import mpmath
 from mpmath import mpf
 
+from regmatch.certified import _GUARD_BITS, Enclosure
 from regmatch.errors import CapacityError, Graph6ParseError, NoGraphsError
 from regmatch.graphs import (
     _GENERATION_CAPS,
@@ -786,3 +788,63 @@ def cubic_whole_interval_verdict(g: Graph) -> str:
     if p(COVER_END) > 0 and count_distinct_real_roots(p, 0, COVER_END) == 0:
         return "holds"
     return "fails"
+
+
+# ---------------------------------------------------------------------------
+# Certified numerics through mpmath's iv context (the library calls libmp's
+# interval functions directly, at an explicit precision)
+
+@contextmanager
+def iv_precision(bits: int):
+    """mpmath's iv context at bits + _GUARD_BITS, restored on exit."""
+    iv = mpmath.iv
+    old = iv.prec
+    iv.prec = bits + _GUARD_BITS
+    try:
+        yield iv
+    finally:
+        iv.prec = old
+
+
+def iv_to_enclosure(x) -> Enclosure:
+    lo, hi = x._mpi_
+    return Enclosure(Fraction(*mpmath.libmp.to_rational(lo)),
+                     Fraction(*mpmath.libmp.to_rational(hi)))
+
+
+def iv_fraction(iv, q: Fraction):
+    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+
+
+def reference_log_enclosure(q: Fraction, bits: int) -> Enclosure:
+    """ln q for a positive rational q in mpmath's iv context."""
+    if q == 1:
+        return Enclosure.exact(0)
+    with iv_precision(bits) as iv:
+        return iv_to_enclosure(iv.log(iv_fraction(iv, q)))
+
+
+def reference_sqrt_enclosure(q: Fraction, bits: int) -> Enclosure:
+    """sqrt q for a non-negative rational q in mpmath's iv context; exact
+    when q is the square of a rational."""
+    a, b = isqrt(q.numerator), isqrt(q.denominator)
+    if a * a == q.numerator and b * b == q.denominator:
+        return Enclosure.exact(Fraction(a, b))
+    with iv_precision(bits) as iv:
+        return iv_to_enclosure(iv.sqrt(iv_fraction(iv, q)))
+
+
+def reference_tree_closed_form(d: int, lam: Fraction, bits: int) -> Enclosure:
+    """(1/2) ln S_d(lam) for the infinite d-regular tree in mpmath's iv
+    context.  Raises mpmath's ComplexResult where the rounded enclosure of
+    1 + 4(d-1)lam reaches below 0."""
+    if lam == 0:
+        return Enclosure.exact(0)
+    with iv_precision(bits) as iv:
+        lam_iv = iv_fraction(iv, lam)
+        disc = 1 + 4 * (d - 1) * lam_iv
+        eta = (iv.sqrt(disc) - 1) / (2 * (d - 1) * lam_iv)
+        s = 1 / (eta * eta)
+        if d > 2:
+            s = s * ((d - 1) / (d - eta)) ** (d - 2)
+        return iv_to_enclosure(iv.log(s) / 2)

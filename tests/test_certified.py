@@ -2,18 +2,29 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    iv_fraction,
+    iv_precision,
+    iv_to_enclosure,
+    reference_log_enclosure,
+    reference_sqrt_enclosure,
+)
 
 from regmatch.certified import (
     DEFAULT_BITS,
     MAX_BITS,
     Enclosure,
     _escalate,
-    _iv_precision,
-    _iv_to_enclosure,
     log_enclosure,
     sqrt_enclosure,
 )
+from regmatch.errors import DomainError
+
+ORACLE_BITS = (1, 8, 64, 128, 256, 1024)
 
 
 def test_enclosure_invariants():
@@ -54,8 +65,8 @@ def test_log_enclosure_brackets_truth():
     # e^lo <= q <= e^hi iff lo <= ln q <= hi; check via exp round trip,
     # with mpmath's interval exp at the same precision as the oracle
     def exp(x: Fraction) -> Enclosure:
-        with _iv_precision(DEFAULT_BITS) as iv:
-            return _iv_to_enclosure(iv.exp(iv.mpf(x.numerator) / iv.mpf(x.denominator)))
+        with iv_precision(DEFAULT_BITS) as iv:
+            return iv_to_enclosure(iv.exp(iv_fraction(iv, x)))
 
     for q in (Fraction(2), Fraction(10), Fraction(1, 3), Fraction(19, 64)):
         enc = log_enclosure(q)
@@ -72,6 +83,48 @@ def test_log_enclosure_rejects_nonpositive():
         log_enclosure(Fraction(0))
     with pytest.raises(Exception):
         log_enclosure(Fraction(-3))
+
+
+def test_precision_outside_range_rejected_at_once():
+    # libmp never returns at a precision <= 0, and a precision above MAX_BITS
+    # would be used as given; the shortcuts (q = 1, exact squares) check too
+    for bits in (0, -20, MAX_BITS + 1):
+        for q in (Fraction(2), Fraction(1), Fraction(9, 4)):
+            with pytest.raises(DomainError):
+                log_enclosure(q, bits)
+            with pytest.raises(DomainError):
+                sqrt_enclosure(q, bits)
+
+
+def _rationals(low):
+    digits = st.integers(low, 10 ** 200)
+    return st.builds(Fraction, digits, st.integers(1, 10 ** 200))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rationals(1), st.sampled_from(ORACLE_BITS))
+def test_log_enclosure_matches_the_iv_context_bit_for_bit(q, bits):
+    assert log_enclosure(q, bits) == reference_log_enclosure(q, bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rationals(0), st.sampled_from(ORACLE_BITS))
+def test_sqrt_enclosure_matches_the_iv_context_bit_for_bit(q, bits):
+    assert sqrt_enclosure(q, bits) == reference_sqrt_enclosure(q, bits)
+
+
+def test_enclosures_ignore_mpmath_global_precision():
+    qs = (Fraction(2), Fraction(1, 3), Fraction(10 ** 40 + 1, 7 ** 30))
+    default = [(log_enclosure(q, bits), sqrt_enclosure(q, bits))
+               for q in qs for bits in ORACLE_BITS]
+    iv_prec, mp_prec = mpmath.iv.prec, mpmath.mp.prec
+    try:
+        mpmath.iv.prec, mpmath.mp.prec = 7, 33
+        assert [(log_enclosure(q, bits), sqrt_enclosure(q, bits))
+                for q in qs for bits in ORACLE_BITS] == default
+        assert (mpmath.iv.prec, mpmath.mp.prec) == (7, 33)
+    finally:
+        mpmath.iv.prec, mpmath.mp.prec = iv_prec, mp_prec
 
 
 def test_sqrt_enclosure_exact_squares():

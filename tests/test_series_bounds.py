@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from oracles import cubic_whole_interval_verdict
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import ComplexResult
+from oracles import cubic_whole_interval_verdict, reference_tree_closed_form
 
 from regmatch.certified import DEFAULT_BITS, MAX_BITS, Enclosure, Verdict, log_enclosure
 from regmatch.cli import main
@@ -243,8 +246,7 @@ def test_precision_below_one_bit_rejected():
 
 
 def test_verify_inequality_same_as_generic_comparison():
-    # verify_inequality reuses the K_4 side across graphs; its report must
-    # equal a from-scratch comparison of the same two values
+    # verify_inequality's report must equal a comparison of the same two values
     k4 = matching_gen_poly(complete(4))
     for g in (petersen(), prism(), complete_bipartite(3, 3)):
         for lam in (Fraction(1, 400), Fraction(1, 4), Fraction(1)):
@@ -288,6 +290,44 @@ def test_tree_closed_form_domain():
         tree_closed_form(3, Fraction(-1, 7))
     with pytest.raises(DomainError):
         tree_closed_form(1, Fraction(1, 4))
+    # libmp never returns at a precision <= 0; the lam = 0 shortcut checks too
+    for bits in (0, -20, MAX_BITS + 1):
+        for lam in (Fraction(-1, 16), Fraction(0)):
+            with pytest.raises(DomainError):
+                tree_closed_form(3, lam, bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 8), st.fractions(0, 1, max_denominator=10 ** 30),
+       st.sampled_from((1, 8, 64, 128, 256, 1024)))
+def test_tree_closed_form_matches_the_iv_context_bit_for_bit(d, t, bits):
+    # lam anywhere in [-1/(4(d-1)), 0.36]
+    low = -Fraction(1, 4 * (d - 1))
+    lam = low + (Fraction(36, 100) - low) * t
+    try:
+        expected = reference_tree_closed_form(d, lam, bits)
+    except ComplexResult:
+        # the rounded 1 + 4(d-1)lam reaches below 0; the library clips it
+        tree_closed_form(d, lam, bits)
+        return
+    assert tree_closed_form(d, lam, bits) == expected
+
+
+def test_tree_closed_form_at_the_end_of_its_domain():
+    # at lam = -1/(4(d-1)): eta = 2, S_d = (1/4)((d-1)/(d-2))^(d-2), 1/4 at d = 2;
+    # lam is not dyadic, so the rounded discriminant straddles 0 for some d
+    for d in range(2, 8):
+        lam = -Fraction(1, 4 * (d - 1))
+        s_d = Fraction(1, 4) * (Fraction(d - 1, d - 2) ** (d - 2) if d > 2 else 1)
+        for bits in (1, DEFAULT_BITS, MAX_BITS):
+            enc, truth = tree_closed_form(d, lam, bits), log_enclosure(s_d, bits) / 2
+            assert enc.lo <= truth.hi and truth.lo <= enc.hi
+        rep = negative_lambda_sandwich(complete_bipartite(d, d), d, lam)
+        assert rep.verdict is Verdict.HOLDS
+    # just above the end, at 1 bit, the discriminant's enclosure straddles 0 too
+    lam = Fraction(-1, 12) + Fraction(1, 10 ** 6)
+    coarse, fine = tree_closed_form(4, lam, 1), tree_closed_form(4, lam, MAX_BITS)
+    assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
 
 
 def test_sandwich_holds_on_small_cubic(cubic_by_n):
