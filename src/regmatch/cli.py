@@ -7,6 +7,10 @@ without --out.  Reports are deterministic for fixed inputs and precision
 (items sorted by canonical graph key; the wall-clock field is the only part
 that varies between runs).
 
+Rationals are printed as decimals, and decimal options are checked, at an
+explicit 53 bits through libmp (the Remez reports print the fits' own
+values), so mpmath's global precision changes no report.
+
 Exit codes: 0 when every item verdict is HOLDS (or the command is purely
 generative), 1 when any item FAILS or is INCONCLUSIVE, 2 on malformed input,
 3 on an internal error (a crash, which must never read as a verdict).
@@ -23,6 +27,7 @@ import time
 from fractions import Fraction
 
 import mpmath
+from mpmath import libmp
 
 from . import __version__
 from .certified import DEFAULT_BITS, MAX_BITS, Enclosure, Verdict
@@ -46,6 +51,7 @@ from .minimax import (
     COVER_TARGET,
     DEFAULT_LADDER,
     _DPS,
+    _from_fraction,
     ladder_verify,
     lambda_interval,
     remez_best_approx,
@@ -108,51 +114,56 @@ def _bounded(lo: int, hi: int):
 
 
 # lambda_interval needs c_3 and c_4; degree 10 converges, `remez --a 0.2`
-# in about 0.3 s and `ladder` in about 1.3 s
+# in about 0.2 s and `ladder` in about 0.8 s
 _DEGREE = _bounded(4, 10)
 
 
 _REAL_MAX = 1000  # far past the ladder's 2.87; Remez turns singular near 1e20
 
 
+_PREC = 53  # bits of the printed decimals and of the decimal options' check (mpmath's default)
+
+
 def _real(text: str) -> str:
     """argparse type: a decimal of magnitude at most _REAL_MAX, kept as the
     text itself (the reports echo it as given)."""
     try:
-        value = mpmath.mpf(text)
-        ok = mpmath.isfinite(value)
+        value = libmp.from_str(text, _PREC, libmp.round_nearest)
+        ok = value not in (libmp.finf, libmp.fninf, libmp.fnan)
     except (ValueError, ZeroDivisionError):
         ok = False
     if not ok:
         raise argparse.ArgumentTypeError(f"not a finite decimal: {text!r}")
-    if abs(value) > _REAL_MAX:
+    if libmp.mpf_gt(libmp.mpf_abs(value), libmp.from_int(_REAL_MAX)):
         raise argparse.ArgumentTypeError(f"magnitude above {_REAL_MAX}: {text!r}")
     return text
 
 
 def _decimal(q: Fraction, digits: int = 12) -> str:
-    return mpmath.nstr(mpmath.mpf(q.numerator) / q.denominator, digits)
+    return libmp.to_str(_from_fraction(q, _PREC), digits)
 
 
 def _enclosure_fields(e: Enclosure) -> dict:
-    mid = e.midpoint
+    width = e.width
     return {
         "lo": str(e.lo),
         "hi": str(e.hi),
-        "decimal": _decimal(mid),
-        "radius": _decimal(e.width / 2, 3) if e.width else "0",
+        "decimal": _decimal(e.midpoint),
+        "radius": _decimal(width / 2, 3) if width else "0",
     }
 
 
 def _jsonify(obj):
+    if isinstance(obj, dict):
+        return {k: _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (str, int)):  # the common leaves first; bool is an int
+        return obj
     if isinstance(obj, (Fraction, Verdict)):
         return str(obj)
     if isinstance(obj, mpmath.mpf):
         return mpmath.nstr(obj, 17)
     if isinstance(obj, Enclosure):
         return _enclosure_fields(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     return obj
@@ -373,13 +384,13 @@ def _cmd_verify(args) -> int:
             counts[rep.verdict] += 1
             if worst is None or rep.margin.lo < worst[1].margin.lo:
                 worst = (lam, rep)
-            cmd.add({
+            cmd.add({  # ready for JSON: _jsonify has nothing to convert
                 "canonical_key": key,
                 "n": g.n,
                 "lambda": str(lam),
-                "verdict": rep.verdict,
+                "verdict": rep.verdict.value,
                 "equality": rep.equality,
-                "margin": rep.margin,
+                "margin": _enclosure_fields(rep.margin),
                 "bits": rep.bits,
             }, rep.verdict)
         lam, rep = worst

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-import mpmath
+from mpmath import libmp, mp, mpf
 
 from .errors import DomainError
 from .graphs import Graph, _bits, max_matching
@@ -167,17 +167,16 @@ class ThresholdReport:
     crude_bound: int               # (d+1)^(d+1)
 
     @property
-    def threshold_value(self) -> mpmath.mpf:
-        return self.units * mpmath.log(self.d + 1)
+    def threshold_value(self) -> mpf:
+        """T(d) as a 53-bit float, whatever mpmath's global precision."""
+        rnd = libmp.round_nearest
+        return mp.make_mpf(libmp.mpf_mul_int(
+            libmp.mpf_log(libmp.from_int(self.d + 1), 53, rnd), self.units, 53, rnd))
 
     def margin_in_units(self, r) -> Fraction:
         """Exact margin sign for ln(lam) = r ln(d+1): returns
         r * gap - 1, positive iff the comparison holds strictly."""
         return Fraction(r) * self.gap - 1
-
-    def margin_at_log(self, log_lam) -> mpmath.mpf:
-        return mpmath.mpf(self.gap.numerator) / self.gap.denominator \
-            * log_lam - mpmath.log(self.d + 1)
 
 
 def even_d_threshold(d: int) -> ThresholdReport:

@@ -17,10 +17,16 @@ from math import comb, factorial, isqrt
 from typing import Sequence
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from regmatch.certified import _GUARD_BITS, Enclosure
-from regmatch.errors import CapacityError, Graph6ParseError, NoGraphsError
+from regmatch.errors import (
+    CapacityError,
+    ConvergenceError,
+    DomainError,
+    Graph6ParseError,
+    NoGraphsError,
+)
 from regmatch.graphs import (
     _GENERATION_CAPS,
     Graph,
@@ -30,9 +36,10 @@ from regmatch.graphs import (
     canonical_form,
     complete,
 )
+from regmatch.minimax import _MAX_EXCHANGES, LambdaInterval, RemezResult
 from regmatch.necklace import CriticalConstant, TransferMatrix, qd_recursive
 from regmatch.polynomials import Poly, _horner, _poly_mul, count_distinct_real_roots
-from regmatch.polytope import OddSetViolation
+from regmatch.polytope import OddSetViolation, ThresholdReport
 
 
 # ---------------------------------------------------------------------------
@@ -625,13 +632,14 @@ def brute_completable(d: int, adj: Sequence[int], deg: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 # Remez extrema, by a sign scan of e' on a grid
 
-def reference_error_extrema(coeffs, A) -> list:
+def scan_error_extrema(coeffs, A) -> list:
     """Extremum candidates of e(x) = ln(1+x) - P(x) on [0, A]: both
     endpoints plus the sign changes of e'(x) = 1/(1+x) - P'(x) seen on a
     grid of 1,024 cells, each bisected to 1e-30 of a cell.
 
     The grid scan that minimax._error_extrema replaced; it misses any two
-    sign changes that fall in one cell.  Call under the working mp precision.
+    sign changes that fall in one cell.  Call under the working mp precision,
+    with mpf coefficients.
     """
     samples = 1024
     dcoeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
@@ -667,7 +675,7 @@ def reference_error_extrema(coeffs, A) -> list:
     return points
 
 
-def reference_lambda_interval(res, dps: int = 40) -> tuple:
+def bisect_lambda_interval(res, dps: int = 40) -> tuple:
     """(lam_min, lam_max), the positive roots of
     (3/2)c_3 l^3 + 27 c_4 l^4 - eps, each by 4 * dps bisection steps: lam_min
     on (peak 10^-25, peak), lam_max on (peak, hi) with hi doubled from the
@@ -694,6 +702,215 @@ def reference_lambda_interval(res, dps: int = 40) -> tuple:
         while margin(hi) > 0:
             hi *= 2
         return bisect(peak * mpf(10) ** (-25), peak, True), bisect(peak, hi, False)
+
+
+# ---------------------------------------------------------------------------
+# The Remez fit on mpf objects under mpmath's global precision, as minimax ran
+# it before it called libmp's mpf_* functions at an explicit precision: the
+# library must return these numbers bit for bit
+
+def remez_poly_at(res: RemezResult, x) -> mpf:
+    """The fit's polynomial at x, at the caller's working mp precision."""
+    return _horner(res.coeffs, x)
+
+
+def remez_error_at(res: RemezResult, x) -> mpf:
+    """ln(1 + x) - P(x), at the caller's working mp precision."""
+    return mpmath.log(1 + x) - remez_poly_at(res, x)
+
+
+def threshold_margin_at_log(rep: ThresholdReport, log_lam) -> mpf:
+    """gap * ln(lam) - ln(d+1) for ln(lam) = log_lam, at the caller's
+    working mp precision: zero exactly at the threshold log-activity."""
+    return mpf(rep.gap.numerator) / rep.gap.denominator * log_lam - mpmath.log(rep.d + 1)
+
+
+def reference_solve_reference_system(refs, degree):
+    """P's coefficients and the level h with P(x_i) + (-1)^i h = ln(1 + x_i)
+    at the m = degree + 2 references, by Gaussian elimination on lists.
+
+    It runs 10 bits above the working precision with mpmath.lu_solve's
+    steps: the pivot is the entry largest against the sum of its row's
+    remaining entries, and a pivot or row sum at or below ||M||_1 eps makes
+    the system singular.  So it returns lu_solve's numbers."""
+    n = degree + 2
+    rows = [[x ** j for j in range(degree + 1)] + [(-1) ** i, mpmath.log(1 + x)]
+            for i, x in enumerate(refs)]
+    with mp.extraprec(10):
+        tol = max(mpmath.fsum(abs(row[j]) for row in rows) for j in range(n)) * mp.eps
+        for j in range(n):
+            sums = [mpmath.fsum(abs(v) for v in row[j:n]) for row in rows[j:]]
+            if min(sums) <= tol:
+                raise ConvergenceError("singular Remez reference system")
+            p = max(range(j, n), key=lambda k: 1 / sums[k - j] * abs(rows[k][j]))
+            rows[j], rows[p] = rows[p], rows[j]
+            pivot = rows[j]
+            if abs(pivot[j]) <= tol:
+                raise ConvergenceError("singular Remez reference system")
+            for row in rows[j + 1:]:
+                f = row[j] / pivot[j]
+                for k in range(j + 1, n + 1):
+                    row[k] -= f * pivot[k]
+        sol = [mpf(0)] * n
+        for i in reversed(range(n)):
+            row = rows[i]
+            x = row[n]
+            for k in range(i + 1, n):
+                x -= row[k] * sol[k]
+            sol[i] = x / row[i]
+    return sol[:-1], sol[-1]
+
+
+def _reference_newton_root(coeffs, dcoeffs, a, b, rising, tiny, x=None):
+    """The root in (a, b) of the polynomial `coeffs` (derivative `dcoeffs`),
+    which rises through it if `rising` and falls otherwise, by Newton's
+    method from x (default the midpoint) inside a shrinking sign bracket.
+
+    A Newton step of at most `tiny` ends the search, and is taken even when
+    it rounds onto the bracket's end.  Any other step that leaves the
+    bracket, or a zero derivative, is replaced by bisection, which ends the
+    search once the bracket is within 2 tiny."""
+    if x is None or not a < x < b:
+        x = (a + b) / 2
+    for _ in range(mp.prec):
+        fx = _horner(coeffs, x)
+        if fx == 0:
+            return x
+        if (fx < 0) == rising:
+            a = x
+        else:
+            b = x
+        dfx = _horner(dcoeffs, x)
+        if dfx:
+            step = fx / dfx
+            if abs(step) <= tiny:
+                return min(max(x - step, a), b)
+            x -= step
+        if not a < x < b:
+            x = (a + b) / 2
+            if b - a <= 2 * tiny:
+                return x
+    return x
+
+
+def _reference_sign_change_roots(coeffs, lo, hi, guesses, level=0):
+    """Ascending roots in (lo, hi) at which the polynomial changes sign.
+    They are sought between the derivative's sign changes, found the same
+    way: the polynomial is monotone there, so each piece holds at most one.
+    guesses[level] holds the roots this call found, and its previous value,
+    the roots of a nearby polynomial, gives each piece its start point."""
+    if len(coeffs) < 2:
+        return []
+    dcoeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
+    ends = [lo] + _reference_sign_change_roots(dcoeffs, lo, hi, guesses, level + 1) + [hi]
+    tiny = (hi - lo) * mpf(2) ** (8 - mp.prec)
+    starts = guesses.get(level, ())
+    roots = []
+    for a, b in zip(ends, ends[1:]):
+        fa = _horner(coeffs, a)
+        if fa * _horner(coeffs, b) >= 0:
+            continue
+        start = next((x for x in starts if a < x < b), None)
+        roots.append(_reference_newton_root(coeffs, dcoeffs, a, b, fa < 0, tiny, start))
+    guesses[level] = roots
+    return roots
+
+
+def reference_error_extrema(coeffs, A, guesses=None):
+    """Extremum candidates of e(x) = ln(1+x) - P(x) on [0, A]: both
+    endpoints plus the sign changes of e'(x) = q(x)/(1+x), where
+    q(x) = 1 - (1+x)P'(x) has the degree of P.  `guesses` (see
+    _reference_sign_change_roots) warm-starts the search from an earlier
+    call's roots and is updated with this call's."""
+    dp = [j * coeffs[j] for j in range(1, len(coeffs))]
+    q = [-r for r in _poly_mul([1, 1], dp)]
+    q[0] += 1
+    roots = _reference_sign_change_roots(q, mpf(0), A, {} if guesses is None else guesses)
+    return [mpf(0)] + roots + [A]
+
+
+def _reference_select_alternating(points, errs, m):
+    """Collapse same-sign runs to their largest-|e| member, then pick the
+    window of m consecutive alternating extrema with the largest smallest
+    deviation."""
+    merged = []
+    for x, e in zip(points, errs):
+        if merged and mpmath.sign(e) == mpmath.sign(merged[-1][1]):
+            if abs(e) > abs(merged[-1][1]):
+                merged[-1] = (x, e)
+        else:
+            merged.append((x, e))
+    if len(merged) < m:
+        return None
+    best = None
+    for start in range(len(merged) - m + 1):
+        window = merged[start:start + m]
+        low = min(abs(e) for _, e in window)
+        if best is None or low > best[0]:
+            best = (low, [x for x, _ in window])
+    return best[1]
+
+
+def reference_remez_best_approx(A, degree: int = 4, dps: int = 40) -> RemezResult:
+    """Deterministic minimax fit of ln(1+x) on [0, A].
+
+    Convergence: the solved equioscillation level agrees with the measured
+    maximum deviation to a relative tolerance of 10^(10 - dps), or to within
+    10^(2 - dps) ln(1 + A), a hundred times the rounding noise left by the
+    cancellation in ln(1+x) - P(x), whichever is looser.
+    """
+    if degree < 1:
+        raise DomainError("need degree >= 1")
+    with mp.workdps(dps):
+        A = mpf(str(A)) if not isinstance(A, mpf) else A
+        if A <= 0:
+            raise DomainError("need A > 0")
+        tol = mpf(10) ** (-dps + 10)
+        floor = mpf(10) ** (2 - dps) * mpmath.log(1 + A)
+        m = degree + 2
+        refs = [A / 2 * (1 - mpmath.cos(mpmath.pi * i / (m - 1)))
+                for i in range(m)]
+        guesses = {}  # each exchange's roots start the next one's search
+        for it in range(1, _MAX_EXCHANGES + 1):
+            coeffs, level = reference_solve_reference_system(refs, degree)
+            points = reference_error_extrema(coeffs, A, guesses)
+            errs = [mpmath.log(1 + x) - _horner(coeffs, x) for x in points]
+            maxdev = max(abs(e) for e in errs)
+            selected = _reference_select_alternating(points, errs, m)
+            if selected is None:
+                raise ConvergenceError("equioscillation structure lost")
+            if maxdev - abs(level) <= max(tol * maxdev, floor):
+                return RemezResult(A, degree, tuple(coeffs), abs(level),
+                                   tuple(selected), it, maxdev, dps)
+            refs = selected
+        raise ConvergenceError(
+            f"Remez did not converge in {_MAX_EXCHANGES} exchanges")
+
+
+def reference_lambda_interval(res: RemezResult) -> LambdaInterval:
+    """The positive roots lam_min < lam_max of the quartic
+    -eps + (3/2)c_3 l^3 + 27 c_4 l^4, by _reference_newton_root on either
+    side of its peak at -c_3/(24 c_4), where it must be positive; at the
+    fit's precision."""
+    if res.degree < 4:
+        raise DomainError("interval derivation needs a degree-4 result")
+    with mp.workdps(res.dps):
+        c3, c4, eps = res.coeffs[3], res.coeffs[4], res.epsilon
+        if not (c3 > 0 and c4 < 0 and eps > 0):
+            raise DomainError("need c_3 > 0, c_4 < 0, eps > 0")
+        quartic = [-eps, 0, 0, mpf(3) / 2 * c3, 27 * c4]
+        dquartic = [0, 0, mpf(9) / 2 * c3, 108 * c4]
+        peak = -c3 / (24 * c4)
+        if _horner(quartic, peak) <= 0:
+            raise DomainError(
+                f"approximation error {mpmath.nstr(eps, 10)} too large: "
+                "no positive solution interval")
+        tiny = peak * mpf(2) ** (8 - mp.prec)
+        lam_min = _reference_newton_root(quartic, dquartic, peak * mpf(10) ** (-25),
+                                         peak, True, tiny)
+        # the quartic is -6 c_3 peak^3 - eps < 0 at 2 peak
+        lam_max = _reference_newton_root(quartic, dquartic, peak, 2 * peak, False, tiny)
+        return LambdaInterval(res.A, lam_min, lam_max, res.A / 8)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+import mpmath
 import pytest
 
-from regmatch.cli import _check_cd_work, build_parser, main
+from regmatch.cli import _check_cd_work, _decimal, _real, build_parser, main
 from regmatch.graphs import complete, encode_graph6, generate_connected_regular
 from regmatch.matchpoly import _MAX_FRONTIER_WIDTH
 
@@ -525,17 +527,95 @@ _GOLDEN_REPORTS = {
         "719cec5e0958718e51ff3c10bf82ee5f636c04fec48550d78e9f0b847d0188ca",
     ("verify", "--d", "3", "--nmax", "12", "--lambda", "1/4"):
         "9ab6e42d262508719dde5ab3ac3a8210d15658dff6f82d236526e3e1f156bfa2",
+    ("remez", "--a", "2.87", "--dps", "60"):
+        "ad53982c82f4b1b7972feff9152676934d2e2d245b591ab593c2d4c38be1476b",
+    ("ladder", "--degree", "10"):
+        "dd22b5dc7f86a52392f9b9a6069afcf6532652c0a2b954354a6bcf5da038eff0",
+    ("ladder", "--dps", "20"): "49ce13459d1fab4053b1c1a7461fc488dd3e5eca400aaf9fec0fec219b3d5df8",
+    # every margin escalates from 1 bit, so the radius decimals are wide
+    ("verify", "--d", "3", "--nmax", "10", "--precision-bits", "1", "--include-necklaces", "6"):
+        "51909a2c3f8bc37a66007028e5d49bdd26622efef046b8b3097b796b05fc4dde",
 }
+# golden reports whose command exits 1: at degree 10 the rungs from A = 1.8
+# up admit no lambda interval
+_GOLDEN_EXIT_CODES = {("ladder", "--degree", "10"): 1}
 
 
 @pytest.mark.parametrize("argv", sorted(_GOLDEN_REPORTS), ids=" ".join)
 def test_report_matches_golden_digest(capsys, argv):
     code, out, err = run(capsys, *argv, "--format", "json")
-    assert code == 0
+    assert code == _GOLDEN_EXIT_CODES.get(argv, 0)
     report = json.loads(out)
     report.pop("wall_clock_seconds")
     text = json.dumps(report, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_REPORTS[argv]
+
+
+def test_csv_report_matches_golden_digest(capsys):
+    # the CSV flattens the same items as the JSON report, margins included
+    code, out, err = run(capsys, "verify", "--d", "3", "--nmax", "6", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == "62e72d4eefc2a0b7218035d9d48bba1c4e823664b323b55017853c479801cc32"
+
+
+def test_remez_without_a_lambda_interval_exits_2(capsys):
+    assert run(capsys, "remez", "--a", "30", "--degree", "10", "--format", "json") == (
+        2, "", "error: approximation error 0.005692138751 too large: "
+               "no positive solution interval\n")
+
+
+_GLOBAL_PRECISION_ARGVS = (("cd", "--dmax", "15"), ("verify", "--d", "3", "--nmax", "6"),
+                           ("ladder",), ("remez", "--a", "0.2"),
+                           ("polytope", "--d", "4", "--nmax", "7"))
+
+
+@pytest.mark.parametrize("setting", [("prec", 33), ("dps", 50)], ids=lambda s: f"{s[0]}={s[1]}")
+def test_reports_ignore_mpmath_global_precision(capsys, setting):
+    """A library caller's mpmath precision changes no printed digit, and
+    every command leaves it as it found it."""
+    mp = mpmath.mp
+
+    def outputs():
+        found = []
+        for argv in _GLOBAL_PRECISION_ARGVS:
+            found.append(run(capsys, *argv))
+            code, out, err = run(capsys, *argv, "--format", "json")
+            found.append((code, _scrub_wall_clock(out), err))
+        return found
+
+    default = outputs()
+    name, value = setting
+    saved = mp.prec
+    try:
+        setattr(mp, name, value)
+        changed = mp.prec
+        assert outputs() == default
+        # 1000 + 1e-10 rounds to 1000 at 33 bits
+        with pytest.raises(argparse.ArgumentTypeError, match="magnitude above 1000"):
+            _real("1000.0000000001")
+        assert mp.prec == changed
+    finally:
+        mp.prec = saved
+
+
+# random bits below the top one: integers() keeps near its bounds, where the
+# two roundings seldom differ
+_WIDE = st.tuples(st.integers(60, 200), st.randoms(use_true_random=False)).map(
+    lambda t: t[1].getrandbits(t[0]) | 1 << (t[0] - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WIDE, _WIDE, st.sampled_from([1, -1]), st.sampled_from([3, 6, 10, 12, 17]))
+def test_decimal_is_the_53_bit_mpf_decimal(p, q, sign, digits):
+    """_decimal prints mpf(p) / q at 53 bits for q = p/q in lowest terms:
+    the numerator rounds to 53 bits before the division, which rounds
+    again.  Both terms past 53 bits, where that differs from one rounding
+    in about a quarter of the cases."""
+    q = Fraction(sign * p, q)
+    with mpmath.workprec(53):
+        expected = mpmath.nstr(mpmath.mpf(q.numerator) / q.denominator, digits)
+    assert _decimal(q, digits) == expected
 
 
 def test_cd_work_bound_keeps_each_option_alone():

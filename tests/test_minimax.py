@@ -1,14 +1,24 @@
 """Remez minimax fits, admissible intervals, ladder coverage, cubic check."""
 
+import dataclasses
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import mpmath
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 import pytest
 
-from oracles import reference_error_extrema, reference_lambda_interval
+from oracles import (
+    bisect_lambda_interval,
+    reference_error_extrema,
+    reference_lambda_interval,
+    reference_remez_best_approx,
+    reference_solve_reference_system,
+    remez_error_at,
+    scan_error_extrema,
+)
 from regmatch import minimax
 from regmatch.certified import Verdict
 from regmatch.errors import ConvergenceError, DomainError
@@ -34,7 +44,7 @@ def test_remez_equioscillates():
     with mp.workdps(40):
         assert mpf(0) <= res.refs[0] < res.refs[-1] <= res.A
         assert all(a < b for a, b in zip(res.refs, res.refs[1:]))
-        errs = [res.error_at(x) for x in res.refs]
+        errs = [remez_error_at(res, x) for x in res.refs]
         # equal magnitude, alternating sign at the references
         for e in errs:
             assert abs(abs(e) - res.epsilon) <= mpf(10) ** -30
@@ -45,7 +55,7 @@ def test_remez_equioscillates():
         # nothing on a dense grid exceeds the level
         for i in range(501):
             x = res.A * i / 500
-            assert abs(res.error_at(x)) <= res.epsilon * (1 + mpf(10) ** -20)
+            assert abs(remez_error_at(res, x)) <= res.epsilon * (1 + mpf(10) ** -20)
 
 
 def test_remez_degree_eight_equioscillates():
@@ -54,7 +64,7 @@ def test_remez_degree_eight_equioscillates():
     with mp.workdps(40):
         assert mpf(0) <= res.refs[0] < res.refs[-1] <= res.A
         assert all(a < b for a, b in zip(res.refs, res.refs[1:]))
-        errs = [res.error_at(x) for x in res.refs]
+        errs = [remez_error_at(res, x) for x in res.refs]
         # ln(1+x) - P(x) ~ 2e-13 keeps about 27 of the 40 digits
         for e in errs:
             assert abs(abs(e) - res.epsilon) <= mpf(10) ** -25 * res.epsilon
@@ -63,12 +73,25 @@ def test_remez_degree_eight_equioscillates():
         assert res.max_deviation - res.epsilon <= mpf(10) ** -25 * res.epsilon
         for i in range(501):
             x = res.A * i / 500
-            assert abs(res.error_at(x)) <= res.epsilon * (1 + mpf(10) ** -20)
+            assert abs(remez_error_at(res, x)) <= res.epsilon * (1 + mpf(10) ** -20)
 
 
 @lru_cache(maxsize=None)
 def _fit(a, degree, dps=40):
     return remez_best_approx(a, degree=degree, dps=dps)
+
+
+def _extrema(coeffs, A, guesses=None):
+    """minimax._error_extrema on mpf arguments at the working mp precision."""
+    raw = _error_extrema([c._mpf_ for c in coeffs], A._mpf_, mp.prec, guesses)
+    return [mp.make_mpf(x) for x in raw]
+
+
+def _solve(refs, degree):
+    """minimax._solve_reference_system on mpf references at the working mp
+    precision, as mpf."""
+    coeffs, level = _solve_reference_system([x._mpf_ for x in refs], degree, mp.prec)
+    return [mp.make_mpf(c) for c in coeffs], mp.make_mpf(level)
 
 
 @settings(max_examples=25, deadline=None)
@@ -84,8 +107,8 @@ def test_error_extrema_match_grid_scan(a, degree, scale, shifts):
         A = res.A
         coeffs = [c + mpf(scale) * mpf(t) * res.epsilon / A ** k
                   for k, (c, t) in enumerate(zip(res.coeffs, shifts))]
-        exact = _error_extrema(coeffs, A)
-        scan = reference_error_extrema(coeffs, A)
+        exact = _extrema(coeffs, A)
+        scan = scan_error_extrema(coeffs, A)
         assert exact[0] == 0 and exact[-1] == A
         assert all(x < y for x, y in zip(exact, exact[1:]))
         assert len(exact) >= len(scan)
@@ -109,14 +132,14 @@ def test_error_extrema_warm_start_matches_cold(a, degree, scale, shifts, source)
                   for k, (c, t) in enumerate(zip(res.coeffs, shifts))]
         neighbour = _fit(source, degree)
         guesses = {}
-        _error_extrema(neighbour.coeffs, neighbour.A, guesses)
-        warm = _error_extrema(coeffs, A, guesses)
-        cold = _error_extrema(coeffs, A)
+        _extrema(neighbour.coeffs, neighbour.A, guesses)
+        warm = _extrema(coeffs, A, guesses)
+        cold = _extrema(coeffs, A)
         assert len(warm) == len(cold)
         for x, y in zip(warm, cold):
             assert abs(x - y) <= mpf(10) ** -30 * A
-        assert guesses[0] == warm[1:-1]
-        for x in reference_error_extrema(coeffs, A)[1:-1]:
+        assert [mp.make_mpf(x) for x in guesses[0]] == warm[1:-1]
+        for x in scan_error_extrema(coeffs, A)[1:-1]:
             assert min(abs(x - y) for y in warm) <= mpf(10) ** -25 * A
 
 
@@ -138,10 +161,82 @@ def test_reference_system_is_lu_solve(dps, a, degree, jitter):
             sol = list(mpmath.lu_solve(matrix, rhs))
         except ZeroDivisionError:
             with pytest.raises(ConvergenceError, match="singular"):
-                _solve_reference_system(refs, degree)
+                _solve(refs, degree)
             return
-        coeffs, level = _solve_reference_system(refs, degree)
+        coeffs, level = _solve(refs, degree)
         assert coeffs + [level] == sol
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the library error it raised."""
+    try:
+        return fn(*args)
+    except (ConvergenceError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def _bits(value):
+    """value with each mpf replaced by its raw (sign, man, exp, bc) tuple,
+    dataclasses by their fields and lists by tuples."""
+    if isinstance(value, mpf):
+        return value._mpf_
+    if dataclasses.is_dataclass(value):
+        return {f.name: _bits(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    return value
+
+
+_A_TEXT = st.decimals(Decimal("0.01"), Decimal(30), places=4).map(str)
+# an mpf A is used unrounded, so it may carry more bits than the fit's precision
+_A_MPF = st.tuples(_A_TEXT, st.integers(20, 400)).map(
+    lambda t: mp.make_mpf(libmp.from_str(t[0], t[1], libmp.round_nearest)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(_A_TEXT, _A_MPF), st.integers(1, 10), st.integers(15, 60))
+@example("1e-30", 4, 40)   # singular reference system
+@example("30", 10, 40)     # no positive lambda interval
+@example("0", 4, 40)
+@example("2.87", 4, 15)
+@example("22.76", 2, 43)   # a leading coefficient the first Horner step rounds
+@example(mp.make_mpf(libmp.from_str("3.3056054", 272, libmp.round_nearest)), 7, 18)  # -c_3 rounds
+def test_remez_matches_the_mpf_implementation_bit_for_bit(a, degree, dps):
+    """Every field of the fit and of its lambda interval, or the error
+    raised, is the mpf implementation's, and no global precision moves."""
+    prec = mp.prec
+    res = _outcome(remez_best_approx, a, degree, dps)
+    assert mp.prec == prec
+    ref = _outcome(reference_remez_best_approx, a, degree, dps)
+    assert _bits(res) == _bits(ref)
+    if isinstance(ref, minimax.RemezResult):
+        assert _bits(_outcome(lambda_interval, res)) \
+            == _bits(_outcome(reference_lambda_interval, ref))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([15, 20, 40, 60]), st.sampled_from(["0.01", "0.9", "2.87", "30"]),
+       st.integers(1, 10), st.lists(st.floats(-0.45, 0.45), min_size=12, max_size=12))
+def test_reference_system_and_extrema_match_the_mpf_implementation(dps, a, degree, jitter):
+    """On jittered Chebyshev references: the solved system bit for bit, then
+    the extrema of the solved (not yet equioscillating) polynomial and the
+    warm-start roots they leave, cold and then warm."""
+    with mp.workdps(dps):
+        A = mpf(a)
+        m = degree + 2
+        nodes = [i + mpf(t) if 0 < i < m - 1 else i for i, t in zip(range(m), jitter)]
+        refs = [A / 2 * (1 - mpmath.cos(mpmath.pi * s / (m - 1))) for s in nodes]
+        solved = _outcome(reference_solve_reference_system, refs, degree)
+        assert _bits(_outcome(_solve, refs, degree)) == _bits(solved)
+        if not isinstance(solved[0], list):
+            return
+        guesses, ref_guesses = {}, {}
+        for coeffs in (solved[0], [c * (1 + mpf(t) / 1000) for c, t in zip(solved[0], jitter)]):
+            assert _bits(_extrema(coeffs, A, guesses)) \
+                == _bits(reference_error_extrema(coeffs, A, ref_guesses))
+            assert {k: tuple(v) for k, v in guesses.items()} == _bits(ref_guesses)
 
 
 def test_remez_level_value():
@@ -195,9 +290,9 @@ def test_lambda_interval_matches_bisection_without_stalling(monkeypatch, dps):
     calls = []
     horner = minimax._horner
 
-    def counted(coeffs, x):
+    def counted(coeffs, x, prec):
         calls.append(x)
-        return horner(coeffs, x)
+        return horner(coeffs, x, prec)
 
     for a in DEFAULT_LADDER:
         res = _fit(a, 4, dps)
@@ -206,7 +301,7 @@ def test_lambda_interval_matches_bisection_without_stalling(monkeypatch, dps):
             patch.setattr(minimax, "_horner", counted)
             itv = lambda_interval(res)
         assert len(calls) <= 60, a
-        lam_min, lam_max = reference_lambda_interval(res, dps)
+        lam_min, lam_max = bisect_lambda_interval(res, dps)
         with mp.workdps(dps):
             assert abs(itv.lam_min - lam_min) <= mpf(10) ** -30
             assert abs(itv.lam_max - lam_max) <= mpf(10) ** -30
