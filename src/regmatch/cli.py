@@ -8,8 +8,8 @@ without --out.  Reports are deterministic for fixed inputs and precision
 that varies between runs).
 
 Rationals are printed as decimals, and decimal options are checked, at an
-explicit 53 bits through libmp (the Remez reports print the fits' own
-values), so mpmath's global precision changes no report.
+explicit 53 bits (minimax._REPORT_PREC) through libmp (the Remez reports
+print the fits' own values), so mpmath's global precision changes no report.
 
 Exit codes: 0 when every item verdict is HOLDS (or the command is purely
 generative), 1 when any item FAILS or is INCONCLUSIVE, 2 on malformed input,
@@ -51,6 +51,7 @@ from .minimax import (
     COVER_TARGET,
     DEFAULT_LADDER,
     _DPS,
+    _REPORT_PREC,
     _from_fraction,
     ladder_verify,
     lambda_interval,
@@ -121,14 +122,11 @@ _DEGREE = _bounded(4, 10)
 _REAL_MAX = 1000  # far past the ladder's 2.87; Remez turns singular near 1e20
 
 
-_PREC = 53  # bits of the printed decimals and of the decimal options' check (mpmath's default)
-
-
 def _real(text: str) -> str:
     """argparse type: a decimal of magnitude at most _REAL_MAX, kept as the
     text itself (the reports echo it as given)."""
     try:
-        value = libmp.from_str(text, _PREC, libmp.round_nearest)
+        value = libmp.from_str(text, _REPORT_PREC, libmp.round_nearest)
         ok = value not in (libmp.finf, libmp.fninf, libmp.fnan)
     except (ValueError, ZeroDivisionError):
         ok = False
@@ -140,7 +138,7 @@ def _real(text: str) -> str:
 
 
 def _decimal(q: Fraction, digits: int = 12) -> str:
-    return libmp.to_str(_from_fraction(q, _PREC), digits)
+    return libmp.to_str(_from_fraction(q, _REPORT_PREC), digits)
 
 
 def _enclosure_fields(e: Enclosure) -> dict:
@@ -384,13 +382,13 @@ def _cmd_verify(args) -> int:
             counts[rep.verdict] += 1
             if worst is None or rep.margin.lo < worst[1].margin.lo:
                 worst = (lam, rep)
-            cmd.add({  # ready for JSON: _jsonify has nothing to convert
+            cmd.add({
                 "canonical_key": key,
                 "n": g.n,
                 "lambda": str(lam),
-                "verdict": rep.verdict.value,
+                "verdict": rep.verdict,
                 "equality": rep.equality,
-                "margin": _enclosure_fields(rep.margin),
+                "margin": rep.margin,
                 "bits": rep.bits,
             }, rep.verdict)
         lam, rep = worst

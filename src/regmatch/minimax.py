@@ -71,6 +71,16 @@ def _log1p(x, prec):
     return mpf_log(mpf_add(x, _ONE, prec, _RND), prec, _RND)
 
 
+def _read(x, dps, prec):
+    """mpf(str(x)) under mp.workdps(dps), raw: an mpf or an mpmath constant
+    such as mpmath.pi prints at dps digits, as its str does there."""
+    if isinstance(x, mpf):
+        x = libmp.to_str(x._mpf_, dps)
+    elif isinstance(x, mp.constant):
+        x = libmp.to_str(x.func(prec, _RND), dps)
+    return libmp.from_str(str(x), prec, _RND)
+
+
 def _solve_reference_system(refs, degree, prec):
     """P's coefficients and the level h with P(x_i) + (-1)^i h = ln(1 + x_i)
     at the m = degree + 2 references, by Gaussian elimination on lists.
@@ -210,7 +220,7 @@ def _select_alternating(points, errs, m):
 
 def remez_best_approx(A, degree: int = 4, dps: int = _DPS) -> RemezResult:
     """Deterministic minimax fit of ln(1+x) on [0, A].  An mpf A is used as
-    it is; any other A is read from its str at the working precision.
+    it is; any other A is read by _read at the working precision.
 
     Convergence: the solved equioscillation level agrees with the measured
     maximum deviation to a relative tolerance of 10^(10 - dps), or to within
@@ -220,7 +230,7 @@ def remez_best_approx(A, degree: int = 4, dps: int = _DPS) -> RemezResult:
     if degree < 1:
         raise DomainError("need degree >= 1")
     prec = dps_to_prec(dps)
-    a = A._mpf_ if isinstance(A, mpf) else libmp.from_str(str(A), prec, _RND)
+    a = A._mpf_ if isinstance(A, mpf) else _read(A, dps, prec)
     if mpf_le(a, fzero):
         raise DomainError("need A > 0")
     tol = mpf_pow_int(_TEN, 10 - dps, prec, _RND)
@@ -303,6 +313,9 @@ def lambda_interval(res: RemezResult) -> LambdaInterval:
                           make(mpf_div(res.A._mpf_, libmp.from_int(8), prec, _RND)))
 
 
+_REPORT_PREC = 53  # bits of the reports' decimals (mpmath's default precision)
+
+
 def _from_fraction(q: Fraction, prec: int):
     """mpf(q.numerator) / q.denominator at prec, raw: the numerator rounds
     first."""
@@ -336,16 +349,15 @@ def ladder_verify(ladder=DEFAULT_LADDER, base_cap: Fraction = BASE_CAP,
                   dps: int = _DPS) -> LadderReport:
     """Chain the base interval (0, base_cap) with the ladder's usable
     intervals (lam_min, min(A/8, lam_max)) and report coverage of
-    (0, target], which is read from its str (an mpf's at dps digits) at the
-    working precision.  A rung whose fit admits no interval does not connect
-    and leaves the frontier where it was."""
+    (0, target], which is read by _read at the working precision.  A rung
+    whose fit admits no interval does not connect and leaves the frontier
+    where it was."""
     if not ladder:
         raise DomainError("empty ladder")
     if base_cap < 0:
         raise DomainError(f"negative base cap: {base_cap}")
     prec = dps_to_prec(dps)
-    text = libmp.to_str(target._mpf_, dps) if isinstance(target, mpf) else str(target)
-    target = mp.make_mpf(libmp.from_str(text, prec, _RND))
+    target = mp.make_mpf(_read(target, dps, prec))
     if target <= 0:
         raise DomainError(f"target must be positive: {libmp.to_str(target._mpf_, dps)}")
     frontier = mp.make_mpf(_from_fraction(base_cap, prec))

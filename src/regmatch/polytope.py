@@ -14,6 +14,7 @@ from mpmath import libmp, mp, mpf
 from .errors import DomainError
 from .graphs import Graph, _bits, max_matching
 from .matchpoly import q_complete
+from .minimax import _REPORT_PREC
 
 _EXHAUSTIVE_CAP = 16
 
@@ -168,10 +169,10 @@ class ThresholdReport:
 
     @property
     def threshold_value(self) -> mpf:
-        """T(d) as a 53-bit float, whatever mpmath's global precision."""
-        rnd = libmp.round_nearest
+        """T(d) at the reports' precision, whatever mpmath's global one."""
+        prec, rnd = _REPORT_PREC, libmp.round_nearest
         return mp.make_mpf(libmp.mpf_mul_int(
-            libmp.mpf_log(libmp.from_int(self.d + 1), 53, rnd), self.units, 53, rnd))
+            libmp.mpf_log(libmp.from_int(self.d + 1), prec, rnd), self.units, prec, rnd))
 
     def margin_in_units(self, r) -> Fraction:
         """Exact margin sign for ln(lam) = r ln(d+1): returns

@@ -632,14 +632,13 @@ def brute_completable(d: int, adj: Sequence[int], deg: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 # Remez extrema, by a sign scan of e' on a grid
 
-def scan_error_extrema(coeffs, A) -> list:
+def reference_error_extrema(coeffs, A) -> list:
     """Extremum candidates of e(x) = ln(1+x) - P(x) on [0, A]: both
     endpoints plus the sign changes of e'(x) = 1/(1+x) - P'(x) seen on a
     grid of 1,024 cells, each bisected to 1e-30 of a cell.
 
     The grid scan that minimax._error_extrema replaced; it misses any two
-    sign changes that fall in one cell.  Call under the working mp precision,
-    with mpf coefficients.
+    sign changes that fall in one cell.  Call under the working mp precision.
     """
     samples = 1024
     dcoeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
@@ -675,7 +674,7 @@ def scan_error_extrema(coeffs, A) -> list:
     return points
 
 
-def bisect_lambda_interval(res, dps: int = 40) -> tuple:
+def reference_lambda_interval(res, dps: int = 40) -> tuple:
     """(lam_min, lam_max), the positive roots of
     (3/2)c_3 l^3 + 27 c_4 l^4 - eps, each by 4 * dps bisection steps: lam_min
     on (peak 10^-25, peak), lam_max on (peak, hi) with hi doubled from the
@@ -725,7 +724,7 @@ def threshold_margin_at_log(rep: ThresholdReport, log_lam) -> mpf:
     return mpf(rep.gap.numerator) / rep.gap.denominator * log_lam - mpmath.log(rep.d + 1)
 
 
-def reference_solve_reference_system(refs, degree):
+def mpf_solve_reference_system(refs, degree):
     """P's coefficients and the level h with P(x_i) + (-1)^i h = ln(1 + x_i)
     at the m = degree + 2 references, by Gaussian elimination on lists.
 
@@ -761,7 +760,7 @@ def reference_solve_reference_system(refs, degree):
     return sol[:-1], sol[-1]
 
 
-def _reference_newton_root(coeffs, dcoeffs, a, b, rising, tiny, x=None):
+def _mpf_newton_root(coeffs, dcoeffs, a, b, rising, tiny, x=None):
     """The root in (a, b) of the polynomial `coeffs` (derivative `dcoeffs`),
     which rises through it if `rising` and falls otherwise, by Newton's
     method from x (default the midpoint) inside a shrinking sign bracket.
@@ -793,7 +792,7 @@ def _reference_newton_root(coeffs, dcoeffs, a, b, rising, tiny, x=None):
     return x
 
 
-def _reference_sign_change_roots(coeffs, lo, hi, guesses, level=0):
+def _mpf_sign_change_roots(coeffs, lo, hi, guesses, level=0):
     """Ascending roots in (lo, hi) at which the polynomial changes sign.
     They are sought between the derivative's sign changes, found the same
     way: the polynomial is monotone there, so each piece holds at most one.
@@ -802,7 +801,7 @@ def _reference_sign_change_roots(coeffs, lo, hi, guesses, level=0):
     if len(coeffs) < 2:
         return []
     dcoeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
-    ends = [lo] + _reference_sign_change_roots(dcoeffs, lo, hi, guesses, level + 1) + [hi]
+    ends = [lo] + _mpf_sign_change_roots(dcoeffs, lo, hi, guesses, level + 1) + [hi]
     tiny = (hi - lo) * mpf(2) ** (8 - mp.prec)
     starts = guesses.get(level, ())
     roots = []
@@ -811,25 +810,25 @@ def _reference_sign_change_roots(coeffs, lo, hi, guesses, level=0):
         if fa * _horner(coeffs, b) >= 0:
             continue
         start = next((x for x in starts if a < x < b), None)
-        roots.append(_reference_newton_root(coeffs, dcoeffs, a, b, fa < 0, tiny, start))
+        roots.append(_mpf_newton_root(coeffs, dcoeffs, a, b, fa < 0, tiny, start))
     guesses[level] = roots
     return roots
 
 
-def reference_error_extrema(coeffs, A, guesses=None):
+def mpf_error_extrema(coeffs, A, guesses=None):
     """Extremum candidates of e(x) = ln(1+x) - P(x) on [0, A]: both
     endpoints plus the sign changes of e'(x) = q(x)/(1+x), where
     q(x) = 1 - (1+x)P'(x) has the degree of P.  `guesses` (see
-    _reference_sign_change_roots) warm-starts the search from an earlier
+    _mpf_sign_change_roots) warm-starts the search from an earlier
     call's roots and is updated with this call's."""
     dp = [j * coeffs[j] for j in range(1, len(coeffs))]
     q = [-r for r in _poly_mul([1, 1], dp)]
     q[0] += 1
-    roots = _reference_sign_change_roots(q, mpf(0), A, {} if guesses is None else guesses)
+    roots = _mpf_sign_change_roots(q, mpf(0), A, {} if guesses is None else guesses)
     return [mpf(0)] + roots + [A]
 
 
-def _reference_select_alternating(points, errs, m):
+def _mpf_select_alternating(points, errs, m):
     """Collapse same-sign runs to their largest-|e| member, then pick the
     window of m consecutive alternating extrema with the largest smallest
     deviation."""
@@ -851,7 +850,7 @@ def _reference_select_alternating(points, errs, m):
     return best[1]
 
 
-def reference_remez_best_approx(A, degree: int = 4, dps: int = 40) -> RemezResult:
+def mpf_remez_best_approx(A, degree: int = 4, dps: int = 40) -> RemezResult:
     """Deterministic minimax fit of ln(1+x) on [0, A].
 
     Convergence: the solved equioscillation level agrees with the measured
@@ -872,11 +871,11 @@ def reference_remez_best_approx(A, degree: int = 4, dps: int = 40) -> RemezResul
                 for i in range(m)]
         guesses = {}  # each exchange's roots start the next one's search
         for it in range(1, _MAX_EXCHANGES + 1):
-            coeffs, level = reference_solve_reference_system(refs, degree)
-            points = reference_error_extrema(coeffs, A, guesses)
+            coeffs, level = mpf_solve_reference_system(refs, degree)
+            points = mpf_error_extrema(coeffs, A, guesses)
             errs = [mpmath.log(1 + x) - _horner(coeffs, x) for x in points]
             maxdev = max(abs(e) for e in errs)
-            selected = _reference_select_alternating(points, errs, m)
+            selected = _mpf_select_alternating(points, errs, m)
             if selected is None:
                 raise ConvergenceError("equioscillation structure lost")
             if maxdev - abs(level) <= max(tol * maxdev, floor):
@@ -887,9 +886,9 @@ def reference_remez_best_approx(A, degree: int = 4, dps: int = 40) -> RemezResul
             f"Remez did not converge in {_MAX_EXCHANGES} exchanges")
 
 
-def reference_lambda_interval(res: RemezResult) -> LambdaInterval:
+def mpf_lambda_interval(res: RemezResult) -> LambdaInterval:
     """The positive roots lam_min < lam_max of the quartic
-    -eps + (3/2)c_3 l^3 + 27 c_4 l^4, by _reference_newton_root on either
+    -eps + (3/2)c_3 l^3 + 27 c_4 l^4, by _mpf_newton_root on either
     side of its peak at -c_3/(24 c_4), where it must be positive; at the
     fit's precision."""
     if res.degree < 4:
@@ -906,10 +905,10 @@ def reference_lambda_interval(res: RemezResult) -> LambdaInterval:
                 f"approximation error {mpmath.nstr(eps, 10)} too large: "
                 "no positive solution interval")
         tiny = peak * mpf(2) ** (8 - mp.prec)
-        lam_min = _reference_newton_root(quartic, dquartic, peak * mpf(10) ** (-25),
+        lam_min = _mpf_newton_root(quartic, dquartic, peak * mpf(10) ** (-25),
                                          peak, True, tiny)
         # the quartic is -6 c_3 peak^3 - eps < 0 at 2 peak
-        lam_max = _reference_newton_root(quartic, dquartic, peak, 2 * peak, False, tiny)
+        lam_max = _mpf_newton_root(quartic, dquartic, peak, 2 * peak, False, tiny)
         return LambdaInterval(res.A, lam_min, lam_max, res.A / 8)
 
 

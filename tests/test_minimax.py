@@ -11,13 +11,13 @@ from mpmath import libmp, mp, mpf
 import pytest
 
 from oracles import (
-    bisect_lambda_interval,
+    mpf_error_extrema,
+    mpf_lambda_interval,
+    mpf_remez_best_approx,
+    mpf_solve_reference_system,
     reference_error_extrema,
     reference_lambda_interval,
-    reference_remez_best_approx,
-    reference_solve_reference_system,
     remez_error_at,
-    scan_error_extrema,
 )
 from regmatch import minimax
 from regmatch.certified import Verdict
@@ -108,7 +108,7 @@ def test_error_extrema_match_grid_scan(a, degree, scale, shifts):
         coeffs = [c + mpf(scale) * mpf(t) * res.epsilon / A ** k
                   for k, (c, t) in enumerate(zip(res.coeffs, shifts))]
         exact = _extrema(coeffs, A)
-        scan = scan_error_extrema(coeffs, A)
+        scan = reference_error_extrema(coeffs, A)
         assert exact[0] == 0 and exact[-1] == A
         assert all(x < y for x, y in zip(exact, exact[1:]))
         assert len(exact) >= len(scan)
@@ -139,7 +139,7 @@ def test_error_extrema_warm_start_matches_cold(a, degree, scale, shifts, source)
         for x, y in zip(warm, cold):
             assert abs(x - y) <= mpf(10) ** -30 * A
         assert [mp.make_mpf(x) for x in guesses[0]] == warm[1:-1]
-        for x in scan_error_extrema(coeffs, A)[1:-1]:
+        for x in reference_error_extrema(coeffs, A)[1:-1]:
             assert min(abs(x - y) for y in warm) <= mpf(10) ** -25 * A
 
 
@@ -203,17 +203,19 @@ _A_MPF = st.tuples(_A_TEXT, st.integers(20, 400)).map(
 @example("2.87", 4, 15)
 @example("22.76", 2, 43)   # a leading coefficient the first Horner step rounds
 @example(mp.make_mpf(libmp.from_str("3.3056054", 272, libmp.round_nearest)), 7, 18)  # -c_3 rounds
+@example(mpmath.pi, 4, 40)  # a constant prints at the working precision
+@example(mpmath.e, 3, 60)
 def test_remez_matches_the_mpf_implementation_bit_for_bit(a, degree, dps):
     """Every field of the fit and of its lambda interval, or the error
     raised, is the mpf implementation's, and no global precision moves."""
     prec = mp.prec
     res = _outcome(remez_best_approx, a, degree, dps)
     assert mp.prec == prec
-    ref = _outcome(reference_remez_best_approx, a, degree, dps)
+    ref = _outcome(mpf_remez_best_approx, a, degree, dps)
     assert _bits(res) == _bits(ref)
     if isinstance(ref, minimax.RemezResult):
         assert _bits(_outcome(lambda_interval, res)) \
-            == _bits(_outcome(reference_lambda_interval, ref))
+            == _bits(_outcome(mpf_lambda_interval, ref))
 
 
 @settings(max_examples=30, deadline=None)
@@ -228,14 +230,14 @@ def test_reference_system_and_extrema_match_the_mpf_implementation(dps, a, degre
         m = degree + 2
         nodes = [i + mpf(t) if 0 < i < m - 1 else i for i, t in zip(range(m), jitter)]
         refs = [A / 2 * (1 - mpmath.cos(mpmath.pi * s / (m - 1))) for s in nodes]
-        solved = _outcome(reference_solve_reference_system, refs, degree)
+        solved = _outcome(mpf_solve_reference_system, refs, degree)
         assert _bits(_outcome(_solve, refs, degree)) == _bits(solved)
         if not isinstance(solved[0], list):
             return
         guesses, ref_guesses = {}, {}
         for coeffs in (solved[0], [c * (1 + mpf(t) / 1000) for c, t in zip(solved[0], jitter)]):
             assert _bits(_extrema(coeffs, A, guesses)) \
-                == _bits(reference_error_extrema(coeffs, A, ref_guesses))
+                == _bits(mpf_error_extrema(coeffs, A, ref_guesses))
             assert {k: tuple(v) for k, v in guesses.items()} == _bits(ref_guesses)
 
 
@@ -301,7 +303,7 @@ def test_lambda_interval_matches_bisection_without_stalling(monkeypatch, dps):
             patch.setattr(minimax, "_horner", counted)
             itv = lambda_interval(res)
         assert len(calls) <= 60, a
-        lam_min, lam_max = bisect_lambda_interval(res, dps)
+        lam_min, lam_max = reference_lambda_interval(res, dps)
         with mp.workdps(dps):
             assert abs(itv.lam_min - lam_min) <= mpf(10) ** -30
             assert abs(itv.lam_max - lam_max) <= mpf(10) ** -30
