@@ -72,8 +72,9 @@ def _log1p(x, prec):
 
 
 def _read(x, dps, prec):
-    """mpf(str(x)) under mp.workdps(dps), raw: an mpf or an mpmath constant
-    such as mpmath.pi prints at dps digits, as its str does there."""
+    """mpf(str(x)) with mpmath's context at dps digits, raw: an mpf or an
+    mpmath constant such as mpmath.pi prints at dps digits, as its str does
+    at that precision."""
     if isinstance(x, mpf):
         x = libmp.to_str(x._mpf_, dps)
     elif isinstance(x, mp.constant):
