@@ -7,9 +7,9 @@ without --out.  Reports are deterministic for fixed inputs and precision
 (items sorted by canonical graph key; the wall-clock field is the only part
 that varies between runs).
 
-Rationals are printed as decimals, and decimal options are checked, at an
-explicit 53 bits (minimax._REPORT_PREC) through libmp (the Remez reports
-print the fits' own values), so mpmath's global precision changes no report.
+Rationals and T(d) are printed as decimals, and decimal options are checked,
+at an explicit 53 bits (_REPORT_PREC) through libmp (the Remez reports print
+the fits' own values), so mpmath's global precision changes no report.
 
 Exit codes: 0 when every item verdict is HOLDS (or the command is purely
 generative), 1 when any item FAILS or is INCONCLUSIVE, 2 on malformed input,
@@ -31,7 +31,7 @@ from mpmath import libmp
 
 from . import __version__
 from .certified import DEFAULT_BITS, MAX_BITS, Enclosure, Verdict
-from .errors import Graph6ParseError, NoGraphsError, RegmatchError
+from .errors import DomainError, Graph6ParseError, NoGraphsError, RegmatchError
 from .graphs import (
     Graph,
     canonical_key,
@@ -51,7 +51,6 @@ from .minimax import (
     COVER_TARGET,
     DEFAULT_LADDER,
     _DPS,
-    _REPORT_PREC,
     _from_fraction,
     ladder_verify,
     lambda_interval,
@@ -61,6 +60,8 @@ from .necklace import critical_constant, necklace_partition_via_trace, transfer_
 from .polytope import edmonds_check, even_d_threshold, matching_lower_bound_check
 from .series_bounds import verify_inequality
 from .walks import graph_power_sums, infinite_tree_power_sums, power_sums_newton
+
+_REPORT_PREC = 53  # bits of the reports' decimals (mpmath's default precision)
 
 _BUILTIN_GRAPHS = {
     "k2": lambda: complete(2),
@@ -206,17 +207,6 @@ class _Command:
     def say(self, line: str = "") -> None:
         self.lines.append(line)
 
-    def report(self) -> dict:
-        return {
-            "command": self.name,
-            "parameters": _jsonify(self.parameters),
-            "items": _jsonify(self.items),
-            "item_count": len(self.items),
-            "corpus_checksums": self.checksums,
-            "toolkit_version": __version__,
-            "wall_clock_seconds": round(time.monotonic() - self.started, 3),
-        }
-
     def emit(self) -> int:
         fmt = self.args.format
         out = self.args.out
@@ -231,12 +221,19 @@ class _Command:
         return 1 if self.failed else 0
 
     def _write_structured(self, fh, fmt: str) -> None:
-        rep = self.report()
+        items = _jsonify(self.items)
         if fmt == "json":
-            json.dump(rep, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps({
+                "command": self.name,
+                "parameters": _jsonify(self.parameters),
+                "items": items,
+                "item_count": len(items),
+                "corpus_checksums": self.checksums,
+                "toolkit_version": __version__,
+                "wall_clock_seconds": round(time.monotonic() - self.started, 3),
+            }, indent=2) + "\n")
             return
-        rows = [_flatten(item) for item in rep["items"]]
+        rows = [_flatten(item) for item in items]
         if rows:
             # items may differ in their keys: the header is their union, in
             # first-seen order, and a row leaves the keys it lacks empty
@@ -456,22 +453,27 @@ def _cmd_ladder(args) -> int:
 def _cmd_remez(args) -> int:
     cmd = _Command("remez", args, {"A": args.a, "degree": args.degree, "dps": args.dps})
     res = remez_best_approx(args.a, degree=args.degree, dps=args.dps)
-    iv = lambda_interval(res)
+    try:
+        iv = lambda_interval(res)
+        lam_min, lam_max = iv.lam_min, iv.lam_max
+    except DomainError:  # the fit's error admits no interval, as on a ladder rung
+        lam_min = lam_max = None
+        cmd.failed = True
     digits = 10
     cmd.say(f"best degree-{args.degree} approximation of log(1+x) on [0, {args.a}]")
     for i, c in enumerate(res.coeffs):
         cmd.say(f"  c_{i} = {mpmath.nstr(c, digits)}")
     cmd.say(f"  epsilon = {mpmath.nstr(res.epsilon, digits)}")
-    cmd.say(f"  lam_min = {mpmath.nstr(iv.lam_min, digits)}")
-    cmd.say(f"  lam_max = {mpmath.nstr(iv.lam_max, digits)}")
+    for name, x in (("lam_min", lam_min), ("lam_max", lam_max)):
+        cmd.say(f"  {name} = {'-' if x is None else mpmath.nstr(x, digits)}")
     cmd.say(f"  iterations = {res.iterations}")
     cmd.add({
         "A": res.A,
         "degree": res.degree,
-        "coefficients": [mpmath.nstr(c, 17) for c in res.coeffs],
+        "coefficients": res.coeffs,
         "epsilon": res.epsilon,
-        "lam_min": iv.lam_min,
-        "lam_max": iv.lam_max,
+        "lam_min": lam_min,
+        "lam_max": lam_max,
         "iterations": res.iterations,
     })
     return cmd.emit()
@@ -552,7 +554,10 @@ def _cmd_polytope(args) -> int:
     if not args.include_complete:
         graphs = [g for g in graphs if g.n != d + 1]
     entries = _keyed(cmd, graphs)
-    cmd.say(f"T({d}) = {thr.units} ln({d + 1}) = {mpmath.nstr(thr.threshold_value, 8)}, "
+    rnd = libmp.round_nearest
+    value = libmp.mpf_mul_int(libmp.mpf_log(libmp.from_int(d + 1), _REPORT_PREC, rnd),
+                              thr.units, _REPORT_PREC, rnd)
+    cmd.say(f"T({d}) = {thr.units} ln({d + 1}) = {libmp.to_str(value, 8)}, "
             f"coefficient gap {thr.gap}")
     for key, g in entries:
         bound = matching_lower_bound_check(g, d)

@@ -314,9 +314,6 @@ def lambda_interval(res: RemezResult) -> LambdaInterval:
                           make(mpf_div(res.A._mpf_, libmp.from_int(8), prec, _RND)))
 
 
-_REPORT_PREC = 53  # bits of the reports' decimals (mpmath's default precision)
-
-
 def _from_fraction(q: Fraction, prec: int):
     """mpf(q.numerator) / q.denominator at prec, raw: the numerator rounds
     first."""

@@ -9,12 +9,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from mpmath import libmp, mp, mpf
-
 from .errors import DomainError
 from .graphs import Graph, _bits, max_matching
 from .matchpoly import q_complete
-from .minimax import _REPORT_PREC
 
 _EXHAUSTIVE_CAP = 16
 
@@ -166,13 +163,6 @@ class ThresholdReport:
     gap: Fraction                  # exact coefficient gap
     partition_at_one: Fraction     # M_{K_{d+1}}(1)
     crude_bound: int               # (d+1)^(d+1)
-
-    @property
-    def threshold_value(self) -> mpf:
-        """T(d) at the reports' precision, whatever mpmath's global one."""
-        prec, rnd = _REPORT_PREC, libmp.round_nearest
-        return mp.make_mpf(libmp.mpf_mul_int(
-            libmp.mpf_log(libmp.from_int(self.d + 1), prec, rnd), self.units, prec, rnd))
 
     def margin_in_units(self, r) -> Fraction:
         """Exact margin sign for ln(lam) = r ln(d+1): returns

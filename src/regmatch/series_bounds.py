@@ -198,19 +198,25 @@ def compare_log_per_vertex(a: Fraction, n: int, b: Fraction, m: int,
     return InequalityReport(verdict, margin, False, a, used)
 
 
+def _partition_values(g: Graph, d: int, lam: Fraction) -> tuple[Fraction, Fraction]:
+    """M_G(lam) and M_{K_{d+1}}(lam) for a d-regular G, both checked positive
+    (their logs are compared)."""
+    if g.regular_degree() != d:
+        raise DomainError("graph is not d-regular")
+    value_g = gen_poly_value(g, lam)
+    if value_g <= 0:
+        raise DomainError(f"M_G({lam}) = {value_g} is not positive")
+    value_k = q_complete(d + 1)(lam)
+    if value_k <= 0:
+        raise DomainError(f"M_K_{d+1}({lam}) = {value_k} is not positive")
+    return value_g, value_k
+
+
 def verify_inequality(g: Graph, d: int, lam,
                       bits: int = DEFAULT_BITS) -> InequalityReport:
     """Certified check of (1/n) ln M_G(lam) >= (1/(d+1)) ln M_{K_{d+1}}(lam)."""
-    if g.regular_degree() != d:
-        raise DomainError("graph is not d-regular")
-    lam = Fraction(lam)
-    a = gen_poly_value(g, lam)
-    b = q_complete(d + 1)(lam)
-    if a <= 0:
-        raise DomainError(f"M_G({lam}) = {a} is not positive")
-    if b <= 0:
-        raise DomainError(f"M_K_{d+1}({lam}) = {b} is not positive")
-    return compare_log_per_vertex(a, g.n, b, d + 1, bits)
+    value_g, value_k = _partition_values(g, d, Fraction(lam))
+    return compare_log_per_vertex(value_g, g.n, value_k, d + 1, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +274,12 @@ class SandwichReport:
 def negative_lambda_sandwich(g: Graph, d: int, lam,
                              bits: int = DEFAULT_BITS) -> SandwichReport:
     _working_precision(bits)  # rejects bits outside 1..MAX_BITS up front
-    if g.regular_degree() != d:
-        raise DomainError("graph is not d-regular")
     lam = Fraction(lam)
+    if d < 2:
+        raise DomainError("need d >= 2")
     if not -Fraction(1, 4 * (d - 1)) <= lam <= 0:
         raise DomainError(f"lam = {lam} outside [-1/(4(d-1)), 0]")
-    value_g = gen_poly_value(g, lam)
-    if value_g <= 0:
-        raise DomainError(f"M_G({lam}) = {value_g} is not positive")
-    value_k = q_complete(d + 1)(lam)
-    if value_k <= 0:
-        raise DomainError(f"M_K_{d+1}({lam}) = {value_k} is not positive")
+    value_g, value_k = _partition_values(g, d, lam)
     # upper side is exact: (1/n) ln M_G <= (1/(d+1)) ln M_K
     upper = compare_log_per_vertex(value_k, d + 1, value_g, g.n, bits)
     # lower side needs the (irrational) tree value; escalate then give up

@@ -559,10 +559,17 @@ def test_csv_report_matches_golden_digest(capsys):
         == "62e72d4eefc2a0b7218035d9d48bba1c4e823664b323b55017853c479801cc32"
 
 
-def test_remez_without_a_lambda_interval_exits_2(capsys):
-    assert run(capsys, "remez", "--a", "30", "--degree", "10", "--format", "json") == (
-        2, "", "error: approximation error 0.005692138751 too large: "
-               "no positive solution interval\n")
+def test_remez_without_a_lambda_interval_fails(capsys):
+    # the fit converges, but its error admits no lambda interval: reported
+    # as a ladder reports such a rung, with null bounds, and exit 1
+    code, out, err = run(capsys, "remez", "--a", "30", "--degree", "10")
+    assert (code, err) == (1, "")
+    assert "  epsilon = 0.005692138751\n  lam_min = -\n  lam_max = -\n" in out
+    code, out, err = run(capsys, "remez", "--a", "30", "--degree", "10", "--format", "json")
+    assert (code, err) == (1, "")
+    item, = json.loads(out)["items"]
+    assert item["lam_min"] is item["lam_max"] is None
+    assert item["epsilon"] == "0.0056921387505732573"
 
 
 _GLOBAL_PRECISION_ARGVS = (("cd", "--dmax", "15"), ("verify", "--d", "3", "--nmax", "6"),
@@ -667,7 +674,8 @@ def test_necklace_rejects_non_edge(capsys):
 def test_polytope_all_hold(capsys):
     code, out, err = run(capsys, "polytope", "--d", "4", "--nmax", "7")
     assert code == 0
-    assert "T(4) = 35 ln(5)" in out
+    # T(4) at the reports' 53 bits
+    assert out.splitlines()[0] == "T(4) = 35 ln(5) = 56.330327, coefficient gap 1/35"
     assert "FAILS" not in out
 
 

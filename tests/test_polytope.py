@@ -144,23 +144,9 @@ def test_threshold_report_d4():
     assert rep.margin_in_units(35) == 0
     assert rep.margin_in_units(36) > 0
     assert rep.margin_in_units(34) < 0
-    assert abs(rep.threshold_value - 35 * mpmath.log(5)) < mpmath.mpf("1e-10")
     # margin_at_log vanishes exactly at the threshold log-activity
     at_threshold = threshold_margin_at_log(rep, 35 * mpmath.log(5))
     assert abs(at_threshold) < mpmath.mpf("1e-10")
-
-
-def test_threshold_value_ignores_mpmath_global_precision():
-    value = even_d_threshold(4).threshold_value
-    saved = mpmath.mp.prec
-    try:
-        mpmath.mp.prec = 33
-        assert even_d_threshold(4).threshold_value._mpf_ == value._mpf_
-        assert mpmath.mp.prec == 33
-    finally:
-        mpmath.mp.prec = saved
-    with mpmath.workprec(53):
-        assert value == 35 * mpmath.log(5)
 
 
 def test_threshold_report_past_the_dp_width():

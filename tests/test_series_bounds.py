@@ -1,6 +1,8 @@
 """Truncated log series, density deficits, and certified verdicts."""
 
+import hashlib
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import mpmath
@@ -18,6 +20,7 @@ from regmatch.graphs import (
     complete,
     complete_bipartite,
     count_subgraphs,
+    generate_connected_regular,
     path_graph,
     petersen,
     prism,
@@ -359,6 +362,35 @@ def test_sandwich_zero_lambda_and_domain(cubic_by_n):
         negative_lambda_sandwich(petersen(), 3, Fraction(-1, 7))
     with pytest.raises(DomainError):
         negative_lambda_sandwich(petersen(), 3, Fraction(1, 8))
+    # the domain [-1/(4(d-1)), 0] is empty for d = 0 and undefined for d = 1
+    for d in (0, 1):
+        with pytest.raises(DomainError, match="need d >= 2"):
+            negative_lambda_sandwich(complete(d + 1), d, Fraction(-1, 10))
+
+
+# sha256 of every SandwichReport field over the connected quartic and
+# 5-regular graphs with n <= 8, sorted by canonical key, at both ends and
+# inside of the domain, from 1, 8 and 128 starting bits; a change to any
+# verdict, margin bound or final precision shows here
+_SANDWICH_DIGEST = "33118b3648b1a731d9bcf349e2d96623b57a013ca2873e9607114304a2932b16"
+
+
+def test_sandwich_reports_for_degrees_four_and_five():
+    digest = hashlib.sha256()
+    count = 0
+    for d in (4, 5):
+        graphs = sorted((g for n in range(d + 1, 9) if n * d % 2 == 0
+                         for g in generate_connected_regular(n, d)), key=canonical_key)
+        for g in graphs:
+            for lam in (-Fraction(1, 4 * (d - 1)), -Fraction(1, 8 * (d - 1)),
+                        Fraction(-1, 100)):
+                for bits in (1, 8, 128):
+                    rep = negative_lambda_sandwich(g, d, lam, bits)
+                    line = repr(tuple((f.name, getattr(rep, f.name)) for f in fields(rep)))
+                    digest.update(f"{canonical_key(g)} {line}\n".encode())
+                    count += 1
+    assert count == 14 * 3 * 3
+    assert digest.hexdigest() == _SANDWICH_DIGEST
 
 
 def test_matching_poly_value_consistency():
