@@ -369,9 +369,9 @@ def test_sandwich_zero_lambda_and_domain(cubic_by_n):
 
 
 # sha256 of every SandwichReport field over the connected quartic and
-# 5-regular graphs with n <= 8, sorted by canonical key, at both ends and
-# inside of the domain, from 1, 8 and 128 starting bits; a change to any
-# verdict, margin bound or final precision shows here
+# 5-regular graphs with n <= 8, sorted by canonical key, at the domain's
+# lower end and at two points inside it, from 1, 8 and 128 starting bits; a
+# change to any verdict, margin bound or final precision shows here
 _SANDWICH_DIGEST = "33118b3648b1a731d9bcf349e2d96623b57a013ca2873e9607114304a2932b16"
 
 
