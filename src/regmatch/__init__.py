@@ -15,6 +15,7 @@ from .errors import (
     DomainError,
     Graph6ParseError,
     NoGraphsError,
+    PrecisionError,
     RegmatchError,
 )
 from .graphs import (
@@ -64,6 +65,7 @@ from .series_bounds import (
     deficits,
     negative_lambda_sandwich,
     tree_closed_form,
+    verify_grid,
     verify_inequality,
 )
 from .walks import (
@@ -85,6 +87,7 @@ __all__ = [
     "Graph6ParseError",
     "NoGraphsError",
     "Poly",
+    "PrecisionError",
     "RegmatchError",
     "Verdict",
     "build_path_tree",
@@ -135,5 +138,6 @@ __all__ = [
     "transfer_matrix",
     "tree_closed_form",
     "tree_like_walk_total",
+    "verify_grid",
     "verify_inequality",
 ]

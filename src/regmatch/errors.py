@@ -35,3 +35,7 @@ class DomainError(RegmatchError):
 
 class ConvergenceError(RegmatchError):
     """An iterative routine failed to converge within its iteration cap."""
+
+
+class PrecisionError(RegmatchError):
+    """An enclosure stays too wide to use at the precision asked for."""

@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Iterable, Iterator
 
 from mpmath import libmp
 
-from .certified import (DEFAULT_BITS, Enclosure, Verdict, _enclosure,
+from .certified import (DEFAULT_BITS, MAX_BITS, Enclosure, Verdict, _enclosure,
                         _escalate, _interval, _working_precision,
                         log_enclosure)
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
 from .graphs import Graph, count_subgraphs, neighborhood_edge_counts
 from .matchpoly import gen_poly_value, q_complete
 from .walks import PowerSums
@@ -177,6 +178,38 @@ class InequalityReport:
     bits: int
 
 
+class _LogSide:
+    """One side of a log comparison: the positive rational `value` of a graph
+    on `size` vertices, with its per-vertex log (1/size) ln value enclosed
+    once per precision."""
+
+    __slots__ = ("value", "size", "_logs")
+
+    def __init__(self, value: Fraction, size: int):
+        self.value, self.size, self._logs = value, size, {}
+
+    def per_vertex_log(self, bits: int) -> Enclosure:
+        log = self._logs.get(bits)
+        if log is None:
+            log = self._logs[bits] = log_enclosure(self.value, bits) / self.size
+        return log
+
+
+def _compare(a: _LogSide, b: _LogSide, bits: int) -> InequalityReport:
+    """Certified verdict for a's per-vertex log >= b's, decided exactly as
+    a.value^b.size >= b.value^a.size."""
+    lhs, rhs = a.value ** b.size, b.value ** a.size
+    equality = lhs == rhs
+    verdict = Verdict.HOLDS if lhs >= rhs else Verdict.FAILS
+    if equality:
+        return InequalityReport(verdict, Enclosure.exact(0), True, a.value, bits)
+    # the verdict is exact regardless; at MAX_BITS only the margin stays coarse
+    margin, used = _escalate(
+        lambda prec: a.per_vertex_log(prec) - b.per_vertex_log(prec),
+        (lambda m: m.lo > 0) if lhs > rhs else (lambda m: m.hi < 0), bits)
+    return InequalityReport(verdict, margin, False, a.value, used)
+
+
 def compare_log_per_vertex(a: Fraction, n: int, b: Fraction, m: int,
                            bits: int = DEFAULT_BITS) -> InequalityReport:
     """Certified verdict for (1/n) ln a >= (1/m) ln b, decided exactly as
@@ -186,37 +219,50 @@ def compare_log_per_vertex(a: Fraction, n: int, b: Fraction, m: int,
     _working_precision(bits)  # rejects bits outside 1..MAX_BITS up front
     if a <= 0 or b <= 0:
         raise DomainError("log comparison needs positive values")
-    lhs, rhs = a ** m, b ** n
-    equality = lhs == rhs
-    verdict = Verdict.HOLDS if lhs >= rhs else Verdict.FAILS
-    if equality:
-        return InequalityReport(verdict, Enclosure.exact(0), True, a, bits)
-    # the verdict is exact regardless; at MAX_BITS only the margin stays coarse
-    margin, used = _escalate(
-        lambda prec: log_enclosure(a, prec) / n - log_enclosure(b, prec) / m,
-        (lambda m: m.lo > 0) if lhs > rhs else (lambda m: m.hi < 0), bits)
-    return InequalityReport(verdict, margin, False, a, used)
+    return _compare(_LogSide(a, n), _LogSide(b, m), bits)
 
 
-def _partition_values(g: Graph, d: int, lam: Fraction) -> tuple[Fraction, Fraction]:
-    """M_G(lam) and M_{K_{d+1}}(lam) for a d-regular G, both checked positive
-    (their logs are compared)."""
+def _partition_values(g: Graph, d: int, lams, k_sides: list
+                      ) -> Iterator[tuple[Fraction, _LogSide]]:
+    """M_G(lam) and the K_{d+1} side at M_{K_{d+1}}(lam), for a d-regular G at
+    each lam in turn, both values checked positive (their logs are compared).
+    k_sides[i] keeps the K_{d+1} side at lams[i] once it is made."""
     if g.regular_degree() != d:
         raise DomainError("graph is not d-regular")
-    value_g = gen_poly_value(g, lam)
-    if value_g <= 0:
-        raise DomainError(f"M_G({lam}) = {value_g} is not positive")
-    value_k = q_complete(d + 1)(lam)
-    if value_k <= 0:
-        raise DomainError(f"M_K_{d+1}({lam}) = {value_k} is not positive")
-    return value_g, value_k
+    for i, lam in enumerate(lams):
+        value_g = gen_poly_value(g, lam)
+        if value_g <= 0:
+            raise DomainError(f"M_G({lam}) = {value_g} is not positive")
+        side_k = k_sides[i]
+        if side_k is None:
+            value_k = q_complete(d + 1)(lam)
+            if value_k <= 0:
+                raise DomainError(f"M_K_{d+1}({lam}) = {value_k} is not positive")
+            side_k = k_sides[i] = _LogSide(value_k, d + 1)
+        yield value_g, side_k
 
 
 def verify_inequality(g: Graph, d: int, lam,
                       bits: int = DEFAULT_BITS) -> InequalityReport:
     """Certified check of (1/n) ln M_G(lam) >= (1/(d+1)) ln M_{K_{d+1}}(lam)."""
-    value_g, value_k = _partition_values(g, d, Fraction(lam))
-    return compare_log_per_vertex(value_g, g.n, value_k, d + 1, bits)
+    (value_g, side_k), = _partition_values(g, d, (Fraction(lam),), [None])
+    return compare_log_per_vertex(value_g, g.n, side_k.value, d + 1, bits)
+
+
+def verify_grid(graphs: Iterable[Graph], d: int, lams,
+                bits: int = DEFAULT_BITS) -> Iterator[tuple[InequalityReport, ...]]:
+    """verify_inequality(g, d, lam, bits) for every graph and every lam: one
+    tuple of reports per graph, yielded in the graphs' order, with the first
+    failing check raised where that graph-by-graph loop raises it (a graph
+    that is not d-regular raises even when lams is empty).
+    M_{K_{d+1}}(lam) is evaluated once per lam, and its per-vertex log once
+    per lam and precision."""
+    _working_precision(bits)  # rejects bits outside 1..MAX_BITS up front
+    lams = [Fraction(lam) for lam in lams]
+    k_sides: list[_LogSide | None] = [None] * len(lams)
+    return (tuple(_compare(_LogSide(value_g, g.n), side_k, bits)
+                  for value_g, side_k in _partition_values(g, d, lams, k_sides))
+            for g in graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +296,10 @@ def tree_closed_form(d: int, lam, bits: int = DEFAULT_BITS) -> Enclosure:
     if d > 2:
         ratio = div(_interval(d - 1, prec), sub(_interval(d, prec), eta, prec), prec)
         s = mul(s, libmp.mpi_pow_int(ratio, d - 2, prec), prec)
+    if libmp.mpf_sign(s[0]) <= 0 or s[1] == libmp.finf:
+        # at tiny |lam| the subtraction in eta cancels every bit and eta's
+        # enclosure reaches 0, so S_d's enclosure has no finite log
+        raise PrecisionError(f"tree enclosure unusable at {bits} bits")
     return _enclosure(div(libmp.mpi_log(s, prec), _interval(2, prec), prec))
 
 
@@ -279,13 +329,24 @@ def negative_lambda_sandwich(g: Graph, d: int, lam,
         raise DomainError("need d >= 2")
     if not -Fraction(1, 4 * (d - 1)) <= lam <= 0:
         raise DomainError(f"lam = {lam} outside [-1/(4(d-1)), 0]")
-    value_g, value_k = _partition_values(g, d, lam)
+    (value_g, side_k), = _partition_values(g, d, (lam,), [None])
+    side_g = _LogSide(value_g, g.n)  # both sides share its logs
     # upper side is exact: (1/n) ln M_G <= (1/(d+1)) ln M_K
-    upper = compare_log_per_vertex(value_k, d + 1, value_g, g.n, bits)
-    # lower side needs the (irrational) tree value; escalate then give up
+    upper = _compare(side_k, side_g, bits)
+
+    def lower_attempt(prec: int) -> Enclosure | None:
+        # lower side needs the (irrational) tree value; escalate past an
+        # unusable tree enclosure, and past an unsettled margin, then give up
+        try:
+            tree = tree_closed_form(d, lam, prec)
+        except PrecisionError:
+            return None
+        return side_g.per_vertex_log(prec) - tree
+
     lower_margin, used = _escalate(
-        lambda prec: log_enclosure(value_g, prec) / g.n - tree_closed_form(d, lam, prec),
-        lambda m: m.lo >= 0 or m.hi < 0, bits)
+        lower_attempt, lambda m: m is not None and (m.lo >= 0 or m.hi < 0), bits)
+    if lower_margin is None:
+        raise PrecisionError(f"no usable tree enclosure up to the {MAX_BITS}-bit cap")
     lower = (Verdict.HOLDS if lower_margin.lo >= 0 else
              Verdict.FAILS if lower_margin.hi < 0 else Verdict.INCONCLUSIVE)
     return SandwichReport(lam, lower, upper.verdict, lower_margin,

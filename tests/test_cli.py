@@ -197,6 +197,13 @@ def test_small_degree_corpus_stops_at_the_complete_graph(monkeypatch, capsys, d)
     assert "graphs=1 points=1 HOLDS=1" in out
 
 
+def test_verify_refuses_a_nonpositive_partition_function(capsys):
+    # the first failing cell's message, with exit 2 and nothing on stdout
+    for fmt in ("table", "json"):
+        assert run(capsys, "verify", "--d", "3", "--nmax", "6", "--lambda", "-1",
+                   "--format", fmt) == (2, "", "error: M_G(-1) = -2 is not positive\n")
+
+
 def test_verify_json_report(capsys):
     code, out, err = run(capsys, "verify", "--d", "3", "--nmax", "6",
                          "--lambda", "1/4", "--format", "json")

@@ -14,18 +14,21 @@ from oracles import cubic_whole_interval_verdict, reference_tree_closed_form
 
 from regmatch.certified import DEFAULT_BITS, MAX_BITS, Enclosure, Verdict, log_enclosure
 from regmatch.cli import main
-from regmatch.errors import DomainError
+from regmatch import series_bounds
+from regmatch.errors import DomainError, PrecisionError, RegmatchError
 from regmatch.graphs import (
     canonical_key,
     complete,
     complete_bipartite,
     count_subgraphs,
+    diamond_necklace,
     generate_connected_regular,
+    parse_graph6,
     path_graph,
     petersen,
     prism,
 )
-from regmatch.matchpoly import gen_poly_value, matching_gen_poly
+from regmatch.matchpoly import gen_poly_value, matching_gen_poly, q_complete
 from regmatch.series_bounds import (
     SandwichReport,
     certificate_chain,
@@ -37,6 +40,7 @@ from regmatch.series_bounds import (
     tail_bound,
     tree_closed_form,
     truncated_log_series,
+    verify_grid,
     verify_inequality,
 )
 from regmatch.walks import graph_power_sums, infinite_tree_power_sums
@@ -246,6 +250,8 @@ def test_precision_below_one_bit_rejected():
             verify_inequality(petersen(), 3, Fraction(1, 100), bits=bits)
         with pytest.raises(DomainError):
             negative_lambda_sandwich(petersen(), 3, Fraction(-1, 8), bits=bits)
+        with pytest.raises(DomainError):  # on the call, before any row is asked for
+            verify_grid([petersen()], 3, [Fraction(1, 100)], bits=bits)
 
 
 def test_verify_inequality_same_as_generic_comparison():
@@ -257,6 +263,88 @@ def test_verify_inequality_same_as_generic_comparison():
                 rep = verify_inequality(g, 3, lam, bits=bits)
                 assert rep == compare_log_per_vertex(
                     gen_poly_value(g, lam), g.n, k4(lam), 4, bits=bits)
+
+
+_GRID = [Fraction(j, 400) for j in range(1, 144)]  # verify's default grid
+
+
+def _cell_by_cell(graphs, d, lams, bits=DEFAULT_BITS):
+    return [tuple(verify_inequality(g, d, lam, bits) for lam in lams) for g in graphs]
+
+
+@pytest.mark.parametrize("bits", [DEFAULT_BITS, 8, 1])
+def test_verify_grid_equals_verify_inequality_on_the_cubic_corpus(cubic_by_n, bits):
+    # from 8 and 1 bits the margins escalate, graph by graph, and the K_4
+    # side's logs are shared at every precision some graph reaches
+    graphs = [g for n in sorted(cubic_by_n) for g in cubic_by_n[n]]
+    assert list(verify_grid(graphs, 3, _GRID, bits)) == _cell_by_cell(graphs, 3, _GRID, bits)
+
+
+def test_verify_grid_equals_verify_inequality_where_the_margins_escalate():
+    # M(DN_k, 1) = 10^k = M(K_4, 1)^k: near lambda = 1 the margins vanish
+    necklaces = [diamond_necklace(k) for k in range(2, 6)]
+    lams = [1 - Fraction(1, 10 ** e) for e in range(10, 330, 40)]
+    rows = list(verify_grid(necklaces, 3, lams))
+    assert rows == _cell_by_cell(necklaces, 3, lams)
+    assert max(rep.bits for row in rows for rep in row) == MAX_BITS
+
+
+def test_verify_grid_equals_verify_inequality_for_degrees_four_and_five():
+    for d in (4, 5):
+        graphs = [g for n in range(d + 1, 9) if n * d % 2 == 0
+                  for g in generate_connected_regular(n, d)]
+        assert list(verify_grid(graphs, d, _GRID)) == _cell_by_cell(graphs, d, _GRID)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except RegmatchError as exc:
+        return type(exc), str(exc)
+
+
+def test_verify_grid_raises_what_the_cell_by_cell_loop_raises():
+    # graph-major order; in each cell the regular degree, then M_G > 0, then
+    # M_K > 0 (M(K_4, -1) = -2 and M(K_4, -1/4) = -5/16, while M_G(-1/4) =
+    # 5/256 for G}GOW[ and -9/256 for GsXPGs)
+    positive, negative = parse_graph6("G}GOW["), parse_graph6("GsXPGs")
+    cases = [([path_graph(4), complete(4)], [Fraction(1, 4)]),
+             ([complete(4), path_graph(4)], [Fraction(-1)]),
+             ([prism(), complete(4)], [Fraction(1, 4), Fraction(-1)]),
+             ([prism(), path_graph(4)], [Fraction(-1)]),
+             ([petersen(), positive, negative], [Fraction(1, 4), Fraction(-1, 4)]),
+             ([negative, positive], [Fraction(-1, 4)])]
+    messages = set()
+    for graphs, lams in cases:
+        raised = _outcome(lambda: _cell_by_cell(graphs, 3, lams))
+        assert _outcome(lambda: list(verify_grid(graphs, 3, lams))) == raised
+        messages.add(raised[1].split("(")[0])
+    assert messages == {"graph is not d-regular", "M_G", "M_K_4"}
+
+
+def test_log_enclosure_calls_per_verdict(monkeypatch, cubic_by_n):
+    calls = []
+
+    def counted(q, bits=DEFAULT_BITS):
+        calls.append(bits)
+        return log_enclosure(q, bits)
+
+    monkeypatch.setattr(series_bounds, "log_enclosure", counted)
+    # G non-complete graphs at L activities: one log per cell and one per
+    # activity for the K_4 side (2GL with a K_4 log per cell); K_4 itself
+    # is an equality and takes none
+    noncomplete = [g for n in (6, 8) for g in cubic_by_n[n]]
+    lams = _GRID[::13]
+    rows = list(verify_grid(cubic_by_n[4] + noncomplete, 3, lams))
+    assert all(rep.bits == DEFAULT_BITS for row in rows for rep in row)
+    assert len(calls) == len(noncomplete) * len(lams) + len(lams)
+    calls.clear()
+    assert not verify_inequality(petersen(), 3, Fraction(1, 4)).equality
+    assert len(calls) == 2
+    # the sandwich's two sides share the log of M_G (3 calls before)
+    calls.clear()
+    assert negative_lambda_sandwich(petersen(), 3, Fraction(-1, 8)).bits == DEFAULT_BITS
+    assert len(calls) == 2
 
 
 def test_verify_grid_agrees_with_the_whole_interval_oracle(cubic_by_n, capsys):
@@ -366,6 +454,34 @@ def test_sandwich_zero_lambda_and_domain(cubic_by_n):
     for d in (0, 1):
         with pytest.raises(DomainError, match="need d >= 2"):
             negative_lambda_sandwich(complete(d + 1), d, Fraction(-1, 10))
+
+
+# sha256 of the lower side (verdict, margin, final bits) of the Petersen
+# graph's sandwich at lam = -10^-60, -10^-80 and -10^-150, started at the
+# first precision whose tree enclosure is usable (256, 256 and 512 bits)
+_TINY_LAMBDA_LOWER_DIGEST = "7ccb37e2d112efae8d93cb7c3b0a927e468eab9e12010c45ec210d6efca8103e"
+
+
+def test_sandwich_escalates_past_an_unusable_tree_enclosure():
+    # at tiny |lam| the subtraction in eta cancels every bit of a low
+    # precision; the sandwich escalates past it instead of crashing
+    g, digest = petersen(), hashlib.sha256()
+    for e, first in ((60, 256), (80, 256), (150, 512)):
+        lam = Fraction(-1, 10 ** e)
+        with pytest.raises(PrecisionError):
+            tree_closed_form(3, lam, first // 2)
+        tree_closed_form(3, lam, first)
+        rep = negative_lambda_sandwich(g, 3, lam)
+        assert rep.lower_verdict is Verdict.INCONCLUSIVE and rep.bits == MAX_BITS
+        digest.update(f"{e} {rep.lower_verdict} {rep.lower_margin.lo}"
+                      f" {rep.lower_margin.hi} {rep.bits}\n".encode())
+        upper = compare_log_per_vertex(q_complete(4)(lam), 4, gen_poly_value(g, lam), 10,
+                                       DEFAULT_BITS)
+        assert (rep.upper_verdict, rep.upper_margin, rep.upper_equality) == (
+            upper.verdict, upper.margin, upper.equality)
+    assert digest.hexdigest() == _TINY_LAMBDA_LOWER_DIGEST
+    with pytest.raises(PrecisionError, match=f"up to the {MAX_BITS}-bit cap"):
+        negative_lambda_sandwich(g, 3, Fraction(-1, 10 ** 400))
 
 
 # sha256 of every SandwichReport field over the connected quartic and
