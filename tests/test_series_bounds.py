@@ -306,7 +306,7 @@ def _outcome(run):
 def test_verify_grid_raises_what_the_cell_by_cell_loop_raises():
     # graph-major order; in each cell the regular degree, then M_G > 0, then
     # M_K > 0 (M(K_4, -1) = -2 and M(K_4, -1/4) = -5/16, while M_G(-1/4) =
-    # 5/256 for G}GOW[ and -9/256 for GsXPGs)
+    # 5/256 for G}GOW[ and -9/256 for GsXPGs); no activity, no check
     positive, negative = parse_graph6("G}GOW["), parse_graph6("GsXPGs")
     cases = [([path_graph(4), complete(4)], [Fraction(1, 4)]),
              ([complete(4), path_graph(4)], [Fraction(-1)]),
@@ -320,6 +320,7 @@ def test_verify_grid_raises_what_the_cell_by_cell_loop_raises():
         assert _outcome(lambda: list(verify_grid(graphs, 3, lams))) == raised
         messages.add(raised[1].split("(")[0])
     assert messages == {"graph is not d-regular", "M_G", "M_K_4"}
+    assert list(verify_grid([path_graph(4)], 3, [])) == _cell_by_cell([path_graph(4)], 3, [])
 
 
 def test_log_enclosure_calls_per_verdict(monkeypatch, cubic_by_n):
