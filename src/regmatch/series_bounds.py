@@ -178,20 +178,18 @@ class InequalityReport:
     bits: int
 
 
-class _LogSide:
+class _LogSide(dict):
     """One side of a log comparison: the positive rational `value` of a graph
-    on `size` vertices, with its per-vertex log (1/size) ln value enclosed
-    once per precision."""
+    on `size` vertices, mapping each precision to its per-vertex log
+    (1/size) ln value, enclosed on first use."""
 
-    __slots__ = ("value", "size", "_logs")
+    __slots__ = ("value", "size")
 
     def __init__(self, value: Fraction, size: int):
-        self.value, self.size, self._logs = value, size, {}
+        self.value, self.size = value, size
 
-    def per_vertex_log(self, bits: int) -> Enclosure:
-        log = self._logs.get(bits)
-        if log is None:
-            log = self._logs[bits] = log_enclosure(self.value, bits) / self.size
+    def __missing__(self, bits: int) -> Enclosure:
+        log = self[bits] = log_enclosure(self.value, bits) / self.size
         return log
 
 
@@ -205,7 +203,7 @@ def _compare(a: _LogSide, b: _LogSide, bits: int) -> InequalityReport:
         return InequalityReport(verdict, Enclosure.exact(0), True, a.value, bits)
     # the verdict is exact regardless; at MAX_BITS only the margin stays coarse
     margin, used = _escalate(
-        lambda prec: a.per_vertex_log(prec) - b.per_vertex_log(prec),
+        lambda prec: a[prec] - b[prec],
         (lambda m: m.lo > 0) if lhs > rhs else (lambda m: m.hi < 0), bits)
     return InequalityReport(verdict, margin, False, a.value, used)
 
@@ -341,7 +339,7 @@ def negative_lambda_sandwich(g: Graph, d: int, lam,
             tree = tree_closed_form(d, lam, prec)
         except PrecisionError:
             return None
-        return side_g.per_vertex_log(prec) - tree
+        return side_g[prec] - tree
 
     lower_margin, used = _escalate(
         lower_attempt, lambda m: m is not None and (m.lo >= 0 or m.hi < 0), bits)
