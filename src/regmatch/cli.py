@@ -339,7 +339,7 @@ def _cmd_ak_table(args) -> int:
     return cmd.emit()
 
 
-_GRID_POINTS = 500  # `verify --d 3 --nmax 12` on 500 grid points takes about 8 s
+_GRID_POINTS = 500  # `verify --d 3 --nmax 12` on 500 grid points takes about 9 s
 
 
 def _verify_lambdas(args) -> list[Fraction]:
