@@ -19,7 +19,7 @@ from typing import Callable, TypeVar
 
 from mpmath import libmp
 
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
 
 DEFAULT_BITS = 128
 MAX_BITS = 1024
@@ -140,12 +140,19 @@ T = TypeVar("T")
 
 def _escalate(attempt: Callable[[int], T], settled: Callable[[T], bool],
               bits: int) -> tuple[T, int]:
-    """Run attempt(bits), doubling bits up to MAX_BITS, until settled(result).
+    """Run attempt(bits), doubling bits up to MAX_BITS, until settled(result);
+    an attempt that raises PrecisionError is unsettled.
 
     Returns (result, bits_used); at MAX_BITS the last result is returned
-    whether or not it settled."""
+    whether or not it settled, and a PrecisionError is raised again, naming
+    the cap."""
     while True:
-        result = attempt(bits)
-        if settled(result) or bits >= MAX_BITS:
-            return result, bits
+        try:
+            result = attempt(bits)
+        except PrecisionError as exc:
+            if bits >= MAX_BITS:
+                raise PrecisionError(f"none usable up to the {MAX_BITS}-bit cap: {exc}") from exc
+        else:
+            if settled(result) or bits >= MAX_BITS:
+                return result, bits
         bits = min(2 * bits, MAX_BITS)

@@ -339,21 +339,20 @@ def _cmd_ak_table(args) -> int:
     return cmd.emit()
 
 
-_GRID_POINTS = 500  # `verify --d 3 --nmax 12` on 500 grid points takes about 9 s
+_GRID_POINTS = 500  # `verify --d 3 --nmax 12` at 500 activities takes about 9 s
 
 
 def _verify_lambdas(args) -> list[Fraction]:
-    if args.lam:
-        return sorted(set(args.lam))
-    step = args.grid_step
-    count = args.grid_max // step
+    """The sorted distinct --lambda values, or else the grid: at most _GRID_POINTS."""
+    lams = sorted(set(args.lam or ()))
+    count = len(lams) if lams else args.grid_max // args.grid_step
     if count > _GRID_POINTS:
         raise argparse.ArgumentTypeError(
-            f"lambda grid of {count} points, above {_GRID_POINTS}")
-    grid = [step * j for j in range(1, count + 1)]
-    if not grid:
+            f"lambda {'list' if lams else 'grid'} of {count} points, above {_GRID_POINTS}")
+    lams = lams or [args.grid_step * j for j in range(1, count + 1)]
+    if not lams:
         raise argparse.ArgumentTypeError("empty lambda grid")
-    return grid
+    return lams
 
 
 def _cmd_verify(args) -> int:
@@ -664,7 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_necklace)
 
     p = sub.add_parser("polytope", help="matching polytope and matching-number bounds")
-    p.add_argument("--d", type=int, default=4)
+    # T(d)'s q_complete(d + 1) recurses past Python's limit from d = 494
+    p.add_argument("--d", type=_bounded(0, 24), default=4)
     p.add_argument("--nmax", type=int, default=10)
     p.add_argument("--include-complete", action="store_true",
                    help="include K_{d+1}, whose bound check honestly fails")

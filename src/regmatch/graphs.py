@@ -328,10 +328,6 @@ def cycle(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 0 or b < 0:
         raise ValueError(f"negative part size in K_{{{a},{b}}}")
@@ -365,11 +361,6 @@ def circulant(n: int, offsets: Iterable[int]) -> Graph:
             j = (i + s) % n
             edges.add((min(i, j), max(i, j)))
     return Graph(n, sorted(edges))
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    edges = list(g.edges) + [(u + g.n, v + g.n) for u, v in h.edges]
-    return Graph(g.n + h.n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +511,7 @@ def diamond_necklace(k: int) -> Graph:
 # reads vertices past the prefix, so it runs before the lookup.  Each cap
 # keeps generating one size under about 10 s.
 
-_GENERATION_CAPS = {1: 2, 2: 24, 3: 14, 4: 11, 5: 10, 6: 10, 7: 10}
+_GENERATION_CAPS = {2: 24, 3: 14, 4: 11, 5: 10, 6: 10, 7: 10}
 
 
 def _prefix_is_canonical(k: int, adj: Sequence[int], cols: Sequence[int]) -> bool:

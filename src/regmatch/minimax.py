@@ -71,15 +71,11 @@ def _log1p(x, prec):
     return mpf_log(mpf_add(x, _ONE, prec, _RND), prec, _RND)
 
 
-def _read(x, dps, prec):
-    """mpf(str(x)) with mpmath's context at dps digits, raw: an mpf or an
-    mpmath constant such as mpmath.pi prints at dps digits, as its str does
-    at that precision."""
-    if isinstance(x, mpf):
-        x = libmp.to_str(x._mpf_, dps)
-    elif isinstance(x, mp.constant):
-        x = libmp.to_str(x.func(prec, _RND), dps)
-    return libmp.from_str(str(x), prec, _RND)
+def _read(text, prec):
+    """The decimal text at prec, raw; not an mpf, whose str moves with mp.prec."""
+    if not isinstance(text, str):
+        raise DomainError(f"need decimal text, got {type(text).__name__}")
+    return libmp.from_str(text, prec, _RND)
 
 
 def _solve_reference_system(refs, degree, prec):
@@ -219,9 +215,9 @@ def _select_alternating(points, errs, m):
     return best[1]
 
 
-def remez_best_approx(A, degree: int = 4, dps: int = _DPS) -> RemezResult:
-    """Deterministic minimax fit of ln(1+x) on [0, A].  An mpf A is used as
-    it is; any other A is read by _read at the working precision.
+def remez_best_approx(A: str, degree: int = 4, dps: int = _DPS) -> RemezResult:
+    """Deterministic minimax fit of ln(1+x) on [0, A], for A given as decimal
+    text and read at the working precision.
 
     Convergence: the solved equioscillation level agrees with the measured
     maximum deviation to a relative tolerance of 10^(10 - dps), or to within
@@ -231,7 +227,7 @@ def remez_best_approx(A, degree: int = 4, dps: int = _DPS) -> RemezResult:
     if degree < 1:
         raise DomainError("need degree >= 1")
     prec = dps_to_prec(dps)
-    a = A._mpf_ if isinstance(A, mpf) else _read(A, dps, prec)
+    a = _read(A, prec)
     if mpf_le(a, fzero):
         raise DomainError("need A > 0")
     tol = mpf_pow_int(_TEN, 10 - dps, prec, _RND)
@@ -343,19 +339,19 @@ class LadderReport:
 
 
 def ladder_verify(ladder=DEFAULT_LADDER, base_cap: Fraction = BASE_CAP,
-                  degree: int = 4, target=COVER_TARGET,
+                  degree: int = 4, target: str = COVER_TARGET,
                   dps: int = _DPS) -> LadderReport:
     """Chain the base interval (0, base_cap) with the ladder's usable
     intervals (lam_min, min(A/8, lam_max)) and report coverage of
-    (0, target], which is read by _read at the working precision.  A rung
-    whose fit admits no interval does not connect and leaves the frontier
-    where it was."""
+    (0, target].  The rungs A and the target are decimal text, read at the
+    working precision.  A rung whose fit admits no interval does not connect
+    and leaves the frontier where it was."""
     if not ladder:
         raise DomainError("empty ladder")
     if base_cap < 0:
         raise DomainError(f"negative base cap: {base_cap}")
     prec = dps_to_prec(dps)
-    target = mp.make_mpf(_read(target, dps, prec))
+    target = mp.make_mpf(_read(target, prec))
     if target <= 0:
         raise DomainError(f"target must be positive: {libmp.to_str(target._mpf_, dps)}")
     frontier = mp.make_mpf(_from_fraction(base_cap, prec))

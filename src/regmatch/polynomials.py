@@ -237,26 +237,24 @@ def _variations(signs: Sequence[int]) -> int:
     return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
 
 
-def _chain_signs_at(chain: Sequence[Poly], x) -> list[int]:
-    if x == "-inf":
-        return [_sign(q.leading) * (-1 if q.degree % 2 else 1) for q in chain]
-    if x == "+inf":
-        return [_sign(q.leading) for q in chain]
-    return [_sign(q(x)) for q in chain]
-
-
 def _sturm_count(chain: Sequence[Poly], lo, hi) -> int:
     """Distinct real roots in (lo, hi) of the nonconstant chain[0], given its
-    Sturm chain; 0 when lo >= hi."""
-    a = "-inf" if lo is None else Fraction(lo)
-    b = "+inf" if hi is None else Fraction(hi)
-    sa, sb = _chain_signs_at(chain, a), _chain_signs_at(chain, b)
-    for endpoint, signs in ((a, sa), (b, sb)):
-        if signs[0] == 0:  # chain[0] is the polynomial itself
-            raise ValueError(f"interval endpoint {endpoint} is a root")
-    if lo is not None and hi is not None and a >= b:
+    Sturm chain; 0 when lo >= hi.  A None lo is -inf and a None hi +inf, where
+    q's sign is its leading coefficient's, times (-1)^deg q at -inf."""
+    a = None if lo is None else Fraction(lo)
+    b = None if hi is None else Fraction(hi)
+    variations = []
+    for x, far in ((a, -1), (b, 1)):
+        if x is None:
+            signs = [_sign(q.leading) * far ** q.degree for q in chain]
+        else:
+            signs = [_sign(q(x)) for q in chain]
+            if signs[0] == 0:  # chain[0] is the polynomial itself
+                raise ValueError(f"interval endpoint {x} is a root")
+        variations.append(_variations(signs))
+    if a is not None and b is not None and a >= b:
         return 0
-    return _variations(sa) - _variations(sb)
+    return variations[0] - variations[1]
 
 
 def count_distinct_real_roots(p: Poly, lo=None, hi=None) -> int:

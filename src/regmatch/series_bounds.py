@@ -16,9 +16,8 @@ from typing import Iterable, Iterator
 
 from mpmath import libmp
 
-from .certified import (DEFAULT_BITS, MAX_BITS, Enclosure, Verdict, _enclosure,
-                        _escalate, _interval, _working_precision,
-                        log_enclosure)
+from .certified import (DEFAULT_BITS, Enclosure, Verdict, _enclosure, _escalate, _interval,
+                        _working_precision, log_enclosure)
 from .errors import DomainError, PrecisionError
 from .graphs import Graph, count_subgraphs, neighborhood_edge_counts
 from .matchpoly import gen_poly_value, q_complete
@@ -332,19 +331,13 @@ def negative_lambda_sandwich(g: Graph, d: int, lam,
     # upper side is exact: (1/n) ln M_G <= (1/(d+1)) ln M_K
     upper = _compare(side_k, side_g, bits)
 
-    def lower_attempt(prec: int) -> Enclosure | None:
-        # lower side needs the (irrational) tree value; escalate past an
-        # unusable tree enclosure, and past an unsettled margin, then give up
-        try:
-            tree = tree_closed_form(d, lam, prec)
-        except PrecisionError:
-            return None
+    def lower_attempt(prec: int) -> Enclosure:
+        # lower side needs the (irrational) tree value, taken first so that no
+        # log of M_G is taken where the tree enclosure is unusable
+        tree = tree_closed_form(d, lam, prec)
         return side_g[prec] - tree
 
-    lower_margin, used = _escalate(
-        lower_attempt, lambda m: m is not None and (m.lo >= 0 or m.hi < 0), bits)
-    if lower_margin is None:
-        raise PrecisionError(f"no usable tree enclosure up to the {MAX_BITS}-bit cap")
+    lower_margin, used = _escalate(lower_attempt, lambda m: m.lo >= 0 or m.hi < 0, bits)
     lower = (Verdict.HOLDS if lower_margin.lo >= 0 else
              Verdict.FAILS if lower_margin.hi < 0 else Verdict.INCONCLUSIVE)
     return SandwichReport(lam, lower, upper.verdict, lower_margin,

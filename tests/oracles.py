@@ -43,6 +43,18 @@ from regmatch.polytope import OddSetViolation, ThresholdReport
 
 
 # ---------------------------------------------------------------------------
+# Test-only constructors
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    edges = list(g.edges) + [(u + g.n, v + g.n) for u, v in h.edges]
+    return Graph(g.n + h.n, edges)
+
+
+# ---------------------------------------------------------------------------
 # Matchings
 
 def brute_matching_counts(g: Graph) -> tuple[int, ...]:
@@ -861,7 +873,7 @@ def mpf_remez_best_approx(A, degree: int = 4, dps: int = 40) -> RemezResult:
     if degree < 1:
         raise DomainError("need degree >= 1")
     with mp.workdps(dps):
-        A = mpf(str(A)) if not isinstance(A, mpf) else A
+        A = mpf(A)
         if A <= 0:
             raise DomainError("need A > 0")
         tol = mpf(10) ** (-dps + 10)

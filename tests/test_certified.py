@@ -22,7 +22,7 @@ from regmatch.certified import (
     log_enclosure,
     sqrt_enclosure,
 )
-from regmatch.errors import DomainError
+from regmatch.errors import DomainError, PrecisionError
 
 ORACLE_BITS = (1, 8, 64, 128, 256, 1024)
 
@@ -158,4 +158,31 @@ def test_escalation_gives_up():
     result, bits = _escalate(attempt, lambda r: r is not None, DEFAULT_BITS)
     assert result is None
     assert bits == MAX_BITS
+    assert calls == [128, 256, 512, 1024]
+
+
+def test_escalation_treats_a_precision_error_as_unsettled():
+    calls = []
+
+    def attempt(bits):
+        calls.append(bits)
+        if bits < 512:
+            raise PrecisionError(f"unusable at {bits} bits")
+        return bits
+
+    # the first result past the errors, which settles
+    assert _escalate(attempt, lambda r: True, DEFAULT_BITS) == (512, 512)
+    assert calls == [128, 256, 512]
+
+
+def test_escalation_raises_a_precision_error_at_the_cap():
+    calls = []
+
+    def attempt(bits):
+        calls.append(bits)
+        raise PrecisionError(f"unusable at {bits} bits")
+
+    with pytest.raises(PrecisionError, match=f"up to the {MAX_BITS}-bit cap: unusable at "
+                                             f"{MAX_BITS} bits"):
+        _escalate(attempt, lambda r: True, DEFAULT_BITS)
     assert calls == [128, 256, 512, 1024]

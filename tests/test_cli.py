@@ -368,6 +368,7 @@ def test_precision_bits_names_its_range(capsys, value, message):
     ["necklace", "--edge", "1,2,3"],
     ["verify", "--grid-max", "1/1000"],
     ["verify", "--d", "-2", "--nmax", "4"],
+    ["polytope", "--d", "600", "--nmax", "10"],
 ])
 def test_bad_input_exits_two_without_traceback(monkeypatch, capsys, argv):
     # these once raised IndexError, ValueError, FileNotFoundError or (for
@@ -382,7 +383,8 @@ def test_bad_input_exits_two_without_traceback(monkeypatch, capsys, argv):
     # read COVERED, and with a negative base cap read as a FAILS verdict
     # `poly` reads K_{cap+2} from stdin, whose frontier width is past the
     # matching-polynomial DP's cap; --edge takes exactly two integers, and a
-    # --grid-max below the step leaves no lambda
+    # --grid-max below the step leaves no lambda; every even polytope --d
+    # from 494 up crashed with RecursionError in T(d)
     monkeypatch.setattr("sys.stdin", io.StringIO(
         encode_graph6(complete(_MAX_FRONTIER_WIDTH + 2)) + "\n"))
     try:
@@ -395,21 +397,36 @@ def test_bad_input_exits_two_without_traceback(monkeypatch, capsys, argv):
     assert "error:" in err
 
 
+def _lambda_args(count: int) -> list[str]:
+    return [arg for k in range(1, count + 1) for arg in ("--lambda", f"1/{k}")]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["polytope", "--d", "3", "--nmax", "14"], "even d >= 2 required"),
     (["verify", "--d", "4", "--nmax", "11", "--include-necklaces", "3"],
      "necklace rows require --d 3"),
     (["necklace", "--graph6", "I~~~~~~~w", "--edge", "0,0"], "(0,0) is not an edge"),
-], ids=["polytope", "verify", "necklace"])
+    (["verify", "--d", "3", "--nmax", "4", *_lambda_args(501)],
+     "lambda list of 501 points, above 500"),
+], ids=["polytope", "verify", "necklace", "lambda-list"])
 def test_bad_input_is_refused_before_any_work(monkeypatch, capsys, argv, message):
     # these generated the corpus, or ran the canonical search on K_10, for
-    # seconds before they were refused
+    # seconds before they were refused; 1,000 distinct --lambda values ran
+    # for 14 s where the same points as a grid were refused
     def no_work(*args):
         raise AssertionError("work done before the input was checked")
 
     monkeypatch.setattr("regmatch.cli.generate_connected_regular", no_work)
     monkeypatch.setattr("regmatch.cli.canonical_key", no_work)
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_lambda_list_of_500_distinct_values_is_accepted(capsys):
+    # the cap counts distinct values: a repeated one is dropped first
+    code, out, err = run(capsys, "verify", "--d", "3", "--nmax", "4", *_lambda_args(500),
+                         "--lambda", "1/500")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "graphs=1 points=500 HOLDS=500 FAILS=0 INCONCLUSIVE=0"
 
 
 def test_negative_degree_names_its_domain(capsys):
@@ -419,9 +436,8 @@ def test_negative_degree_names_its_domain(capsys):
 
 # integer options whose work is bounded some other way: the generation cap
 # limits --nmax for d >= 2, d = 0 and 1 stop at K_{d+1} whatever --nmax is,
-# and --d beyond the caps generates nothing
-_UNBOUNDED_INT_OK = {("verify", "--d"), ("verify", "--nmax"),
-                     ("polytope", "--d"), ("polytope", "--nmax")}
+# and verify's --d beyond the caps generates nothing
+_UNBOUNDED_INT_OK = {("verify", "--d"), ("verify", "--nmax"), ("polytope", "--nmax")}
 
 
 def test_no_unbounded_integer_option():

@@ -17,10 +17,12 @@ from oracles import (
     brute_completable,
     brute_count_subgraph,
     brute_max_matching,
+    disjoint_union,
     is_connected_edge_list,
     labeled_connected_regular_count,
     labeled_regular_count,
     labeled_regular_graphs,
+    path_graph,
     reference_canonical_order_masks,
     reference_generate_connected_regular,
     reference_parse_graph6,
@@ -51,7 +53,6 @@ from regmatch.graphs import (
     cycle,
     diamond,
     diamond_necklace,
-    disjoint_union,
     encode_graph6,
     generate_connected_regular,
     isomorphic,
@@ -59,7 +60,6 @@ from regmatch.graphs import (
     necklace_cover,
     neighborhood_edge_counts,
     parse_graph6,
-    path_graph,
     petersen,
     prism,
 )

@@ -26,3 +26,39 @@ def _imported_modules(path: Path) -> set[str]:
 def test_exact_layers_import_no_mpmath(layer):
     path = Path(regmatch.__file__).parent / f"{layer}.py"
     assert not {m for m in _imported_modules(path) if m.split(".")[0] == "mpmath"}
+
+
+# mpmath's global context: the Remez layer reads its inputs only as text and
+# every module passes libmp an explicit precision, which holds only while no
+# module reads or moves that context
+_CONTEXT_PRECISION = {"prec", "dps"}
+_PRECISION_BLOCKS = {"workprec", "workdps", "extraprec", "extradps"}
+
+
+def _global_precision_uses(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            on_context = (isinstance(base, ast.Name) and base.id == "mp"
+                          or isinstance(base, ast.Attribute) and base.attr == "mp")
+            if node.attr in _PRECISION_BLOCKS or on_context and node.attr in _CONTEXT_PRECISION:
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "mpmath":
+            found += [f"line {node.lineno}: import {alias.name}" for alias in node.names
+                      if alias.name in _PRECISION_BLOCKS]
+    return found
+
+
+def test_the_global_precision_scan_finds_each_form():
+    source = ("import mpmath\nfrom mpmath import mp, workdps\nmp.prec = 80\nx = mp.dps\n"
+              "y = mpmath.mp.prec\nwith mpmath.workprec(60):\n    pass\nwith mp.extradps(5):\n"
+              "    pass\nres.dps, args.prec\n")
+    lines = {int(use.split(":")[0].split()[1]) for use in _global_precision_uses(source)}
+    assert lines == {2, 3, 4, 5, 6, 8}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in Path(regmatch.__file__).parent.glob("*.py")))
+def test_no_module_reads_or_sets_the_global_precision(module):
+    path = Path(regmatch.__file__).parent / f"{module}.py"
+    assert _global_precision_uses(path.read_text(encoding="utf-8")) == []

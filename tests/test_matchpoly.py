@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_matching_counts, complete_matching_count,
+from oracles import (brute_matching_counts, complete_matching_count, disjoint_union, path_graph,
                      reference_matching_counts)
 from regmatch import matchpoly
 from regmatch.cli import _BUILTIN_GRAPHS
@@ -19,9 +19,7 @@ from regmatch.graphs import (
     complete_minus_edge,
     cycle,
     diamond_necklace,
-    disjoint_union,
     necklace_cover,
-    path_graph,
     petersen,
 )
 from regmatch.matchpoly import (

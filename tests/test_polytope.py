@@ -12,9 +12,7 @@ from regmatch.graphs import (
     circulant,
     complete,
     cycle,
-    disjoint_union,
     generate_connected_regular,
-    path_graph,
     petersen,
 )
 from regmatch.matchpoly import gen_poly_value
@@ -27,7 +25,8 @@ from regmatch.polytope import (
     matching_lower_bound_check,
 )
 
-from oracles import reference_exhaustive_odd_sets, threshold_margin_at_log
+from oracles import (disjoint_union, path_graph, reference_exhaustive_odd_sets,
+                     threshold_margin_at_log)
 
 
 def test_edmonds_exhaustive_on_small_quartic(quartic_by_n):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import ComplexResult
-from oracles import cubic_whole_interval_verdict, reference_tree_closed_form
+from oracles import cubic_whole_interval_verdict, path_graph, reference_tree_closed_form
 
 from regmatch.certified import DEFAULT_BITS, MAX_BITS, Enclosure, Verdict, log_enclosure
 from regmatch.cli import main
@@ -24,7 +24,6 @@ from regmatch.graphs import (
     diamond_necklace,
     generate_connected_regular,
     parse_graph6,
-    path_graph,
     petersen,
     prism,
 )
@@ -346,6 +345,13 @@ def test_log_enclosure_calls_per_verdict(monkeypatch, cubic_by_n):
     calls.clear()
     assert negative_lambda_sandwich(petersen(), 3, Fraction(-1, 8)).bits == DEFAULT_BITS
     assert len(calls) == 2
+    # the lower side takes the tree enclosure first, so no log at a precision
+    # where that is unusable: at lam = -10^-80, 128 bits (K_4's upper side is
+    # an equality and takes no log)
+    calls.clear()
+    rep = negative_lambda_sandwich(complete(4), 3, Fraction(-1, 10 ** 80))
+    assert rep.upper_equality and rep.bits == MAX_BITS
+    assert calls == [256, 512, 1024]
 
 
 def test_verify_grid_agrees_with_the_whole_interval_oracle(cubic_by_n, capsys):

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from oracles import (
     closed_walks_by_power,
     count_simple_paths_from,
+    path_graph,
     truncated_tree_adj,
 )
 from regmatch.errors import CapacityError, DomainError
-from regmatch.graphs import Graph, complete, cycle, diamond, path_graph, petersen
+from regmatch.graphs import Graph, complete, cycle, diamond, petersen
 from regmatch.matchpoly import matching_gen_poly
 from regmatch.walks import (
     build_path_tree,
