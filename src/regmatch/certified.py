@@ -121,18 +121,10 @@ def sqrt_enclosure(q: Fraction, bits: int = DEFAULT_BITS) -> Enclosure:
     q = Fraction(q)
     if q < 0:
         raise DomainError(f"sqrt of negative value {q}")
-    r, exact = _isqrt_frac(q)
-    if exact:
-        return Enclosure.exact(r)
-    return _enclosure(libmp.mpi_sqrt(_interval(q, prec), prec))
-
-
-def _isqrt_frac(q: Fraction) -> tuple[Fraction, bool]:
-    a = math.isqrt(q.numerator)
-    b = math.isqrt(q.denominator)
+    a, b = math.isqrt(q.numerator), math.isqrt(q.denominator)
     if a * a == q.numerator and b * b == q.denominator:
-        return Fraction(a, b), True
-    return Fraction(0), False
+        return Enclosure.exact(Fraction(a, b))
+    return _enclosure(libmp.mpi_sqrt(_interval(q, prec), prec))
 
 
 T = TypeVar("T")

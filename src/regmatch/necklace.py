@@ -83,8 +83,7 @@ def discriminant(g: Graph, u: int, v: int) -> Poly:
 
 def reduced_discriminant(g: Graph, u: int, v: int) -> Poly:
     """The lam-free factor M(G-e) M(G-uv) - M(G-u) M(G-v)."""
-    tm = transfer_matrix(g, u, v)
-    return (tm.minus_edge * tm.minus_both - tm.minus_u * tm.minus_v)
+    return Poly(discriminant(g, u, v).coeffs[1:])  # det(B) = lam * this
 
 
 def pd_direct(d: int) -> Poly:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from mpmath import libmp
 
@@ -219,9 +219,9 @@ def compare_log_per_vertex(a: Fraction, n: int, b: Fraction, m: int,
     return _compare(_LogSide(a, n), _LogSide(b, m), bits)
 
 
-def _partition_values(g: Graph, d: int, lam: Fraction,
-                      side_k: _LogSide | None = None) -> tuple[Fraction, _LogSide]:
-    """M_G(lam) for a d-regular G and the K_{d+1} side at lam, both values
+def _partition_sides(g: Graph, d: int, lam: Fraction,
+                     side_k: _LogSide | None = None) -> tuple[_LogSide, _LogSide]:
+    """The log sides of a d-regular G and of K_{d+1} at lam, both values
     checked positive (their logs are compared); a side_k already made at
     lam is returned as it is."""
     if g.regular_degree() != d:
@@ -234,32 +234,32 @@ def _partition_values(g: Graph, d: int, lam: Fraction,
         if value_k <= 0:
             raise DomainError(f"M_K_{d+1}({lam}) = {value_k} is not positive")
         side_k = _LogSide(value_k, d + 1)
-    return value_g, side_k
+    return _LogSide(value_g, g.n), side_k
 
 
 def verify_inequality(g: Graph, d: int, lam,
                       bits: int = DEFAULT_BITS) -> InequalityReport:
     """Certified check of (1/n) ln M_G(lam) >= (1/(d+1)) ln M_{K_{d+1}}(lam)."""
-    value_g, side_k = _partition_values(g, d, Fraction(lam))
-    return compare_log_per_vertex(value_g, g.n, side_k.value, d + 1, bits)
+    side_g, side_k = _partition_sides(g, d, Fraction(lam))
+    return compare_log_per_vertex(side_g.value, g.n, side_k.value, d + 1, bits)
 
 
 def verify_grid(graphs: Iterable[Graph], d: int, lams,
-                bits: int = DEFAULT_BITS) -> Iterator[tuple[InequalityReport, ...]]:
+                bits: int = DEFAULT_BITS) -> list[tuple[InequalityReport, ...]]:
     """verify_inequality(g, d, lam, bits) for every graph and every lam: one
-    tuple of reports per graph, yielded in the graphs' order, with the first
-    failing check raised where that graph-by-graph loop raises it.
-    M_{K_{d+1}}(lam) is evaluated once per lam, and its per-vertex log once
-    per lam and precision."""
+    tuple of reports per graph, in the graphs' order, with the first failing
+    check raised where that graph-by-graph loop raises it.  M_{K_{d+1}}(lam)
+    is evaluated once per lam, and its per-vertex log once per lam and
+    precision."""
     _working_precision(bits)  # rejects bits outside 1..MAX_BITS up front
     lams = [Fraction(lam) for lam in lams]
     k_sides: list[_LogSide | None] = [None] * len(lams)
 
     def cell(g: Graph, i: int) -> InequalityReport:
-        value_g, k_sides[i] = _partition_values(g, d, lams[i], k_sides[i])
-        return _compare(_LogSide(value_g, g.n), k_sides[i], bits)
+        side_g, k_sides[i] = _partition_sides(g, d, lams[i], k_sides[i])
+        return _compare(side_g, k_sides[i], bits)
 
-    return (tuple(cell(g, i) for i in range(len(lams))) for g in graphs)
+    return [tuple(cell(g, i) for i in range(len(lams))) for g in graphs]
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +326,7 @@ def negative_lambda_sandwich(g: Graph, d: int, lam,
         raise DomainError("need d >= 2")
     if not -Fraction(1, 4 * (d - 1)) <= lam <= 0:
         raise DomainError(f"lam = {lam} outside [-1/(4(d-1)), 0]")
-    value_g, side_k = _partition_values(g, d, lam)
-    side_g = _LogSide(value_g, g.n)  # both sides share its logs
+    side_g, side_k = _partition_sides(g, d, lam)  # both comparisons share side_g's logs
     # upper side is exact: (1/n) ln M_G <= (1/(d+1)) ln M_K
     upper = _compare(side_k, side_g, bits)
 

@@ -16,9 +16,10 @@ from hypothesis import given, settings, strategies as st
 import mpmath
 import pytest
 
-from regmatch.cli import _check_cd_work, _decimal, _real, build_parser, main
+from regmatch.cli import _RUNGS, _check_cd_work, _decimal, _real, build_parser, main
 from regmatch.graphs import complete, encode_graph6, generate_connected_regular
 from regmatch.matchpoly import _MAX_FRONTIER_WIDTH
+from regmatch.minimax import DEFAULT_LADDER
 
 
 def run(capsys, *argv):
@@ -511,6 +512,31 @@ def test_ladder_config_bad_value_names_file_and_line(tmp_path, capsys):
     code, out, err = run(capsys, "ladder", "--config", str(config))
     assert code == 2
     assert err == f"error: {config}: line 2: not a finite decimal: 'abc'\n"
+
+
+def test_ladder_config_refuses_more_rungs_than_the_cap_before_any_fit(tmp_path, monkeypatch,
+                                                                     capsys):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a rung was fitted")
+
+    monkeypatch.setattr("regmatch.minimax.remez_best_approx", no_fit)
+    config = tmp_path / "ladder.txt"
+    # refused on reading rung _RUNGS + 1, before the bad line after it
+    config.write_text("# rungs\n" + "0.2\n" * (_RUNGS + 1) + "abc\n")
+    code, out, err = run(capsys, "ladder", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {config}: more than {_RUNGS} rungs\n"
+
+
+def test_ladder_config_at_the_rung_cap_runs(tmp_path, capsys):
+    config = tmp_path / "ladder.txt"
+    rungs = list(DEFAULT_LADDER) + ["2.87"] * (_RUNGS - len(DEFAULT_LADDER))
+    config.write_text("\n".join(rungs) + "\n")
+    assert len(rungs) == _RUNGS
+    code, out, err = run(capsys, "ladder", "--config", str(config))
+    assert code == 0
+    assert "COVERED (0, 0.3575]" in out
 
 
 def test_remez_output(capsys):

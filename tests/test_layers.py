@@ -62,3 +62,28 @@ def test_the_global_precision_scan_finds_each_form():
 def test_no_module_reads_or_sets_the_global_precision(module):
     path = Path(regmatch.__file__).parent / f"{module}.py"
     assert _global_precision_uses(path.read_text(encoding="utf-8")) == []
+
+
+# perfbench times each public function over its call, so no module defers its
+# work to a generator that runs after the call has returned
+def _deferred_work(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Yield, ast.YieldFrom))
+                or isinstance(node, ast.Return) and isinstance(node.value, ast.GeneratorExp)):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_the_deferred_work_scan_finds_each_form():
+    source = ("def a():\n    yield 1\ndef b(xs):\n    yield from xs\n"
+              "def c(xs):\n    return (x for x in xs)\ndef d(xs):\n    return [x for x in xs]\n"
+              "def e(xs):\n    return sum(x for x in xs)\n")
+    lines = {int(use.split(":")[0].split()[1]) for use in _deferred_work(source)}
+    assert lines == {2, 4, 6}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in Path(regmatch.__file__).parent.glob("*.py")))
+def test_no_module_returns_a_generator(module):
+    path = Path(regmatch.__file__).parent / f"{module}.py"
+    assert _deferred_work(path.read_text(encoding="utf-8")) == []
